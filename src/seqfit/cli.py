@@ -14,7 +14,7 @@ import click
 
 from . import __version__
 from .difftable import build_table, detect_degree
-from .errors import BFileError, NotPolynomialError, ScalarParseError, SeqfitError
+from .errors import BFileError, ScalarParseError, SeqfitError
 from .numeric import Rational, format_scalar, parse_scalar
 from .oeis import crosscheck_triangle, fetch_bfile
 from .oracle import EfdtParams, efdt_sum, vandermonde_fit
@@ -126,7 +126,7 @@ def difftable_cmd(input_file, fmt, min_witnesses):
     try:
         report = detect_degree(table, min_witnesses=min_witnesses)
         degree = report.degree
-    except (NotPolynomialError, SeqfitError):
+    except SeqfitError:
         pass  # table output is still useful without a detected degree
     if fmt == "json":
         payload = {

@@ -25,27 +25,43 @@ _DECIMAL_RE = re.compile(r"(-?)(\d+)\.(\d+)\Z")
 _FRACTION_RE = re.compile(r"(-?\d+)/(\d+)\Z")
 
 
+def _int(digits: str) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # the grammar matched, so only CPython's int/str digit limit
+        raise ScalarParseError(
+            f"scalar with {len(digits.lstrip('-'))} digits exceeds the integer conversion limit"
+        ) from None
+
+
 def parse_scalar(text: str) -> Rational:
     """Parse an integer, fraction, or terminating decimal into a Rational.
 
-    Raises ScalarParseError for malformed text and ZeroDenominatorError for
-    a fraction with denominator 0.
+    Raises ScalarParseError for malformed text or digits beyond CPython's
+    int/str conversion limit, and ZeroDenominatorError for a fraction with
+    denominator 0.
     """
     token = text.strip()
     if _INTEGER_RE.match(token):
-        return Rational(int(token))
+        return Rational(_int(token))
     m = _DECIMAL_RE.match(token)
     if m:
         sign, whole, frac = m.groups()
-        value = Rational(int(whole + frac), 10 ** len(frac))
+        value = Rational(_int(whole + frac), 10 ** len(frac))
         return -value if sign else value
     m = _FRACTION_RE.match(token)
     if m:
-        num, den = int(m.group(1)), int(m.group(2))
+        num, den = _int(m.group(1)), _int(m.group(2))
         if den == 0:
             raise ZeroDenominatorError(f"zero denominator in {token!r}")
         return Rational(num, den)
     raise ScalarParseError(f"malformed scalar {token!r}")
+
+
+def common_denominator(values) -> tuple[int, list[int]]:
+    """(L, numerators): the lcm L of the denominators of values, and each value times L."""
+    den = math.lcm(*(v.denominator for v in values))
+    return den, [v.numerator * (den // v.denominator) for v in values]
 
 
 def _pow10_scale(den: int) -> int | None:

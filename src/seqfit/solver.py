@@ -16,9 +16,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .difftable import DegreeReport, build_table, detect_degree
-from .errors import DomainError, InconsistentSequenceError, InternalConsistencyError
-from .numeric import Rational
+from .difftable import DegreeReport, scan_degree
+from .errors import DomainError, InconsistentSequenceError
+from .numeric import Rational, common_denominator
 from .triangles import awnt, mwnt
 
 
@@ -63,13 +63,6 @@ class FitResult:
     degree_report: DegreeReport
 
 
-def _check_zero_multipliers(multiplier, k):
-    # triangle zeros for n < k are what make each step single-unknown
-    for n in range(1, k):
-        if multiplier(n, k) != 0:
-            raise InternalConsistencyError(f"expected zero multiplier at (n={n}, k={k})")
-
-
 def solve_start_zero(diagonal, d: int) -> Polynomial:
     """Recover c_0..c_d from the diagonal of a sequence indexed 0, 1, 2, ..."""
     diagonal = tuple(diagonal)
@@ -78,7 +71,6 @@ def solve_start_zero(diagonal, d: int) -> Polynomial:
     coeffs: list[Rational | None] = [None] * (d + 1)
     coeffs[0] = diagonal[0]
     for k in range(d, 0, -1):
-        _check_zero_multipliers(awnt, k)
         acc = sum((coeffs[n] * awnt(n, k) for n in range(k + 1, d + 1)), Rational(0))
         coeffs[k] = (diagonal[k] - acc) / awnt(k, k)  # pivot k!
     return Polynomial(coefficients=tuple(coeffs))
@@ -91,7 +83,6 @@ def solve_start_one(diagonal, d: int) -> Polynomial:
         raise DomainError(f"need {d + 1} diagonal entries, got {len(diagonal)}")
     coeffs: list[Rational | None] = [None] * (d + 1)
     for k in range(d + 1, 0, -1):
-        _check_zero_multipliers(mwnt, k)
         acc = sum((coeffs[n - 1] * mwnt(n, k) for n in range(k + 1, d + 2)), Rational(0))
         coeffs[k - 1] = (diagonal[k - 1] - acc) / mwnt(k, k)  # pivot (k-1)!
     return Polynomial(coefficients=tuple(coeffs))
@@ -115,23 +106,39 @@ def compose_affine(poly_in_g: Polynomial, map: AffineMap) -> Polynomial:
     return Polynomial(coefficients=tuple(result))
 
 
+def first_mismatch(poly: Polynomial, values, start: Rational, step: Rational) -> int:
+    """Index of the first value that poly(start + i*step) does not equal;
+    len(values) when poly reproduces them all.
+
+    Exact, in integers: with start = a/q, step = b/q and coefficients
+    C_j = c_j/D over their common denominator D, Horner's rule on the
+    homogeneous form sum_j c_j * q^(d-j) * (a + i*b)^j gives
+    poly(x_i) * D * q^d, which is compared with the value scaled alike.
+    """
+    q, (a, b) = common_denominator((start, step))
+    den, coeffs = common_denominator(poly.coefficients)
+    leading, *rest = [c * q**j for j, c in enumerate(reversed(coeffs))]  # c_(d-j) * q^j
+    scale = den * q**poly.degree
+    for i, value in enumerate(values):
+        t = a + i * b
+        acc = leading
+        for w in rest:
+            acc = acc * t + w
+        if acc * value.denominator != value.numerator * scale:
+            return i
+    return len(values)
+
+
 def fit(values, map: AffineMap, convention: str = "auto", min_witnesses: int = 2) -> FitResult:
-    """End-to-end fit: difference table, degree, solve, recompose, verify."""
+    """End-to-end fit: difference rows, degree, solve, recompose, verify."""
     values = tuple(values)
     if len(values) < 2:
         raise DomainError("fit needs at least two sequence values")
     if convention not in ("auto", "start_zero", "start_one"):
         raise DomainError(f"unknown convention {convention!r}")
 
-    table = build_table(values)
-    report = detect_degree(table, min_witnesses=min_witnesses)
+    report, diagonal = scan_degree(values, min_witnesses=min_witnesses)
     d = report.degree
-    diagonal = table.main_diagonal
-    for k in range(d + 1, len(diagonal)):
-        if diagonal[k] != 0:
-            raise InconsistentSequenceError(
-                f"diagonal entry {k} is nonzero beyond detected degree {d}"
-            )
 
     if convention == "start_one":
         poly_in_g = solve_start_one(diagonal, d)
@@ -145,13 +152,12 @@ def fit(values, map: AffineMap, convention: str = "auto", min_witnesses: int = 2
 
     poly_in_x = compose_affine(poly_in_g, index_map)
 
-    for i, value in enumerate(values):
-        x = map.x0 + i * map.h
-        g = first_index + i
-        if poly_in_g(g) != value or poly_in_x(x) != value:
-            raise InconsistentSequenceError(
-                f"fitted polynomial does not reproduce sample {i} (x={x})"
-            )
+    i = min(first_mismatch(poly_in_g, values, first_index, Rational(1)),
+            first_mismatch(poly_in_x, values, map.x0, map.h))
+    if i < len(values):
+        raise InconsistentSequenceError(
+            f"fitted polynomial does not reproduce sample {i} (x={map.x0 + i * map.h})"
+        )
 
     return FitResult(
         poly_in_g=poly_in_g,

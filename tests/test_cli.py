@@ -71,6 +71,13 @@ class TestFitCommand:
         result = run(["fit", "--step", "0"], input="1\n2\n")
         assert result.exit_code == 2
 
+    def test_oversize_literal_is_usage_error(self):
+        result = run(["fit", "--format", "json"], input="1\n" + "7" * 5000 + "\n3\n")
+        assert result.exit_code == 2
+        assert "input parse: scalar with 5000 digits" in result.output
+        assert "Traceback" not in result.output
+        assert isinstance(result.exception, SystemExit)
+
     def test_non_polynomial_input_is_domain_error(self):
         result = run(["fit"], input="1\n2\n4\n8\n16\n32\n")
         assert result.exit_code == 1

@@ -1,10 +1,11 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seqfit import build_table, detect_degree, diagonal_direct
+from seqfit.difftable import scan_degree
 from seqfit.errors import DomainError, NotPolynomialError
 
 from conftest import DIAG_START_ONE, DIAG_START_ZERO
@@ -114,3 +115,49 @@ def test_polynomial_rows_go_constant_then_zero(coeffs, extra):
     assert all(v == row_d[0] for v in row_d)
     for deeper in table.rows[d + 1 :]:
         assert all(v == 0 for v in deeper)
+
+
+def polynomial_samples(coeffs, x0, h, extra):
+    return [sum(c * (x0 + i * h) ** j for j, c in enumerate(coeffs))
+            for i in range(len(coeffs) + extra)]
+
+
+sequences = st.one_of(
+    st.lists(rationals, min_size=2, max_size=12),
+    st.builds(polynomial_samples, st.lists(rationals, min_size=1, max_size=6), rationals,
+              rationals.filter(bool), st.integers(min_value=1, max_value=5)),
+)
+
+
+class TestScanDegree:
+    @settings(max_examples=200)
+    @given(sequences, st.integers(min_value=2, max_value=4))
+    def test_matches_detect_degree_on_the_full_table(self, values, min_witnesses):
+        table = build_table(values)
+        try:
+            expected = detect_degree(table, min_witnesses=min_witnesses)
+        except NotPolynomialError as full:
+            with pytest.raises(NotPolynomialError) as lazy:
+                scan_degree(values, min_witnesses=min_witnesses)
+            assert str(lazy.value) == str(full)
+            assert lazy.value.deepest_row == full.deepest_row
+            return
+        report, diagonal = scan_degree(values, min_witnesses=min_witnesses)
+        assert report == expected
+        assert diagonal == table.main_diagonal[: report.degree + 1]
+        assert list(diagonal) == [diagonal_direct(values, k) for k in range(report.degree + 1)]
+
+    def test_golden_example(self, seq_start_zero):
+        report, diagonal = scan_degree(seq_start_zero)
+        assert (report.degree, report.constant_row_value, report.witnesses) == (6, 2880, 2)
+        assert list(diagonal) == DIAG_START_ZERO[:7]
+
+    def test_constant_row_value_keeps_the_common_denominator(self, seq_decimal):
+        report, _ = scan_degree(seq_decimal)
+        assert report.constant_row_value == Fraction(9, 2500)
+
+    def test_argument_checks_match_detect_degree(self):
+        with pytest.raises(DomainError, match="min_witnesses"):
+            scan_degree([Fraction(1), Fraction(2)], min_witnesses=1)
+        with pytest.raises(DomainError, match="length >= 2"):
+            scan_degree([Fraction(1)])

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -103,3 +104,21 @@ def test_rational_arithmetic_is_exact():
         total = Fraction(a, b) + Fraction(c, d)
         assert total == Fraction(a * d + c * b, b * d)
         assert total.denominator > 0
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="interpreter has no int/str digit limit")
+class TestOversizeLiterals:
+    # 5000 digits is past CPython's default int/str conversion limit of 4300
+    DIGITS = "7" * 5000
+
+    @pytest.mark.parametrize("template", ["{}", "-{}", "{}.5", "1.{}", "{}/3", "3/{}"])
+    def test_raises_parse_error_not_value_error(self, template):
+        with pytest.raises(ScalarParseError, match=r"50\d\d digits exceeds"):
+            parse_scalar(template.format(self.DIGITS))
+
+    def test_limit_is_left_as_it_was(self):
+        before = sys.get_int_max_str_digits()
+        with pytest.raises(ScalarParseError):
+            parse_scalar(self.DIGITS)
+        assert sys.get_int_max_str_digits() == before

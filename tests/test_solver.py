@@ -14,6 +14,7 @@ from seqfit import (
     vandermonde_fit,
 )
 from seqfit.errors import DomainError
+from seqfit.solver import first_mismatch
 
 from conftest import (
     COEFFS_DECIMAL_G,
@@ -158,3 +159,45 @@ def test_round_trip_on_random_affine_grids():
         convention = rng.choice(["auto", "start_zero", "start_one"])
         result = fit(values, AffineMap(x0, h), convention)
         assert result.poly_in_x.coefficients == p.coefficients, (coeffs, x0, h)
+
+
+class TestFirstMismatch:
+    """The integer reproduction check that fit() runs on both bases."""
+
+    @staticmethod
+    def random_case(rng):
+        d = rng.randint(0, 6)
+        p = Polynomial(coefficients=tuple(random_rational(rng) for _ in range(d + 1)))
+        x0 = random_rational(rng)
+        h = -Fraction(rng.randint(1, 9), rng.randint(1, 10))  # negative steps
+        samples = [p(x0 + i * h) for i in range(rng.randint(d + 2, d + 6))]
+        return p, x0, h, samples
+
+    def test_accepts_true_samples_in_both_bases_and_conventions(self):
+        rng = random.Random(1806)
+        for _ in range(200):
+            p, x0, h, samples = self.random_case(rng)
+            assert first_mismatch(p, samples, x0, h) == len(samples)
+            for convention, first_index in (("start_zero", 0), ("start_one", 1)):
+                result = fit(samples, AffineMap(x0, h), convention)
+                assert first_mismatch(result.poly_in_x, samples, x0, h) == len(samples)
+                assert first_mismatch(result.poly_in_g, samples, Fraction(first_index),
+                                      Fraction(1)) == len(samples)
+
+    def test_rejects_a_sample_off_by_one_over_q(self):
+        rng = random.Random(2018)
+        for _ in range(200):
+            p, x0, h, samples = self.random_case(rng)
+            q = x0.denominator * h.denominator
+            for i in (0, len(samples) // 2, len(samples) - 1):
+                perturbed = list(samples)
+                perturbed[i] += Fraction(rng.choice((1, -1)), q)
+                assert first_mismatch(p, perturbed, x0, h) == i
+
+    def test_agrees_with_rational_evaluation(self):
+        rng = random.Random(4300)
+        for _ in range(200):
+            p, x0, h, samples = self.random_case(rng)
+            values = [v if rng.random() < 0.8 else random_rational(rng) for v in samples]
+            expected = next((i for i, v in enumerate(values) if p(x0 + i * h) != v), len(values))
+            assert first_mismatch(p, values, x0, h) == expected
