@@ -14,7 +14,7 @@ import click
 
 from . import __version__
 from .difftable import build_table, detect_degree
-from .errors import BFileError, ScalarParseError, SeqfitError
+from .errors import BFileError, DomainError, ScalarParseError, SeqfitError
 from .numeric import Rational, format_scalar, parse_scalar
 from .oeis import crosscheck_triangle, fetch_bfile
 from .oracle import EfdtParams, efdt_sum, vandermonde_fit
@@ -89,8 +89,15 @@ def fit_cmd(input_file, start, step, convention, fmt, min_witnesses):
                      convention=_CONVENTIONS[convention], min_witnesses=min_witnesses)
     except SeqfitError as exc:
         _fail("fit", exc)
+    try:
+        click.echo(_format_fit(result, fmt))
+    except DomainError as exc:
+        _fail("format", exc)
+
+
+def _format_fit(result, fmt: str) -> str:
     if fmt == "json":
-        payload = {
+        return json.dumps({
             "degree": result.degree_report.degree,
             "basis_g": {
                 "x0": format_scalar(result.index_map.x0),
@@ -99,19 +106,14 @@ def fit_cmd(input_file, start, step, convention, fmt, min_witnesses):
             "coefficients_g": [format_scalar(c) for c in result.poly_in_g.coefficients],
             "coefficients_x": [format_scalar(c) for c in result.poly_in_x.coefficients],
             "verified": True,
-        }
-        click.echo(json.dumps(payload, indent=2))
-    else:
-        click.echo(f"degree: {result.degree_report.degree}")
-        click.echo("coefficients in g = (x - {0})/{1} (ascending power): {2}".format(
-            format_scalar(result.index_map.x0, prefer_decimal=True),
-            format_scalar(result.index_map.h, prefer_decimal=True),
-            ", ".join(format_scalar(c, prefer_decimal=True)
-                      for c in result.poly_in_g.coefficients),
-        ))
-        click.echo("coefficients in x (ascending power): " + ", ".join(
-            format_scalar(c, prefer_decimal=True) for c in result.poly_in_x.coefficients))
-        click.echo("verified against all input samples")
+        }, indent=2)
+    x0, h, g, x = (", ".join(format_scalar(c, prefer_decimal=True) for c in scalars)
+                   for scalars in ([result.index_map.x0], [result.index_map.h],
+                                   result.poly_in_g.coefficients, result.poly_in_x.coefficients))
+    return (f"degree: {result.degree_report.degree}\n"
+            f"coefficients in g = (x - {x0})/{h} (ascending power): {g}\n"
+            f"coefficients in x (ascending power): {x}\n"
+            "verified against all input samples")
 
 
 @main.command("difftable")
@@ -124,25 +126,27 @@ def difftable_cmd(input_file, fmt, min_witnesses):
     table = build_table(values)
     degree = None
     try:
-        report = detect_degree(table, min_witnesses=min_witnesses)
-        degree = report.degree
+        degree = detect_degree(table, min_witnesses=min_witnesses).degree
     except SeqfitError:
         pass  # table output is still useful without a detected degree
+    try:
+        click.echo(_format_table(table, degree, fmt))
+    except DomainError as exc:
+        _fail("format", exc)
+
+
+def _format_table(table, degree, fmt: str) -> str:
     if fmt == "json":
-        payload = {
+        return json.dumps({
             "rows": [[format_scalar(v) for v in row] for row in table.rows],
             "main_diagonal": [format_scalar(v) for v in table.main_diagonal],
             "degree": degree,
-        }
-        click.echo(json.dumps(payload, indent=2))
-    else:
-        for r, row in enumerate(table.rows):
-            cells = "  ".join(format_scalar(v, prefer_decimal=True) for v in row)
-            click.echo(f"row {r}: {cells}")
-        if degree is not None:
-            click.echo(f"degree: {degree}")
-        else:
-            click.echo("degree: not polynomial within observed window")
+        }, indent=2)
+    lines = [f"row {r}: " + "  ".join(format_scalar(v, prefer_decimal=True) for v in row)
+             for r, row in enumerate(table.rows)]
+    lines.append(f"degree: {degree}" if degree is not None
+                 else "degree: not polynomial within observed window")
+    return "\n".join(lines)
 
 
 @main.command("triangle")
@@ -156,11 +160,9 @@ def triangle_cmd(kind, rows, fmt):
         payload = {"kind": kind, "rows": [list(row) for row in triangle.rows]}
         click.echo(json.dumps(payload, indent=2))
     elif fmt == "bfile":
-        index = 0
-        for row in triangle.rows:
-            for value in row:
-                index += 1
-                click.echo(f"{index} {value}")
+        cells = (value for row in triangle.rows for value in row)
+        for index, value in enumerate(cells, start=1):
+            click.echo(f"{index} {value}")
     else:
         for row in triangle.rows:
             click.echo("  ".join(str(v) for v in row))

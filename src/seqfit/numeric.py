@@ -18,7 +18,7 @@ from fractions import Fraction
 
 Rational = Fraction
 
-from .errors import ScalarParseError, ZeroDenominatorError
+from .errors import DomainError, ScalarParseError, ZeroDenominatorError
 
 _INTEGER_RE = re.compile(r"-?\d+\Z")
 _DECIMAL_RE = re.compile(r"(-?)(\d+)\.(\d+)\Z")
@@ -82,18 +82,22 @@ def format_scalar(value: Rational, prefer_decimal: bool = False) -> str:
 
     Canonical form is "p" for integers and "p/q" otherwise.  With
     prefer_decimal, values whose denominator divides a power of ten render
-    as exact decimals (e.g. 9/2500 -> "0.0036").
+    as exact decimals (e.g. 9/2500 -> "0.0036").  Raises DomainError for
+    digits beyond CPython's int/str conversion limit.
     """
-    if value.denominator == 1:
-        return str(value.numerator)
-    if prefer_decimal:
-        f = _pow10_scale(value.denominator)
-        if f is not None:
-            scaled = value.numerator * 10 ** f // value.denominator
-            digits = str(abs(scaled)).rjust(f + 1, "0")
-            sign = "-" if scaled < 0 else ""
-            return f"{sign}{digits[:-f]}.{digits[-f:]}"
-    return f"{value.numerator}/{value.denominator}"
+    try:
+        if value.denominator == 1:
+            return str(value.numerator)
+        if prefer_decimal:
+            f = _pow10_scale(value.denominator)
+            if f is not None:
+                scaled = value.numerator * 10 ** f // value.denominator
+                digits = str(abs(scaled)).rjust(f + 1, "0")
+                sign = "-" if scaled < 0 else ""
+                return f"{sign}{digits[:-f]}.{digits[-f:]}"
+        return f"{value.numerator}/{value.denominator}"
+    except ValueError as exc:  # only CPython's int/str digit limit
+        raise DomainError(f"scalar too large to print: {exc}") from None
 
 
 def binomial(n: int, k: int) -> int:

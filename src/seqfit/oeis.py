@@ -76,15 +76,14 @@ def fetch_bfile(sequence_id: str, source: str = "fixture") -> BFile:
             resources.files("seqfit") / "fixtures" / f"b{m.group(1)}.txt"
         ).read_text()
     elif source == "network":
-        import requests
+        from urllib.request import urlopen
 
         url = f"https://oeis.org/{sequence_id}/b{m.group(1)}.txt"
         try:
-            response = requests.get(url, timeout=30)
-            response.raise_for_status()
-        except requests.RequestException as exc:
+            with urlopen(url, timeout=30) as response:
+                text = response.read().decode("utf-8")
+        except (OSError, UnicodeDecodeError) as exc:  # URLError and HTTPError are OSErrors
             raise BFileError(f"fetch of {url} failed: {exc}") from exc
-        text = response.text
     else:
         raise BFileError(f"unknown source {source!r}")
     return parse_bfile(sequence_id, text)

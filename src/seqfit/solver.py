@@ -1,13 +1,11 @@
 """Coefficient recovery from the main diagonal by triangle back-substitution.
 
-Two conventions:
-
-* start_zero (index 0, 1, 2, ...): diagonal[k] = sum_{n=k}^{d} c_n * AWNT(n,k)
-  for k >= 1, and c_0 = diagonal[0].  Solve for k = d down to 1; AWNT(n,k) = 0
-  for n < k makes each step single-unknown with pivot AWNT(k,k) = k!.
-* start_one (index 1, 2, 3, ...): diagonal[k-1] = sum_{n=k}^{d+1}
-  c_{n-1} * MWNT(n,k) for k = d+1 down to 1, pivot MWNT(k,k) = (k-1)!;
-  c_0 emerges at the last step.
+Two conventions: start_zero (index 0, 1, 2, ...) with diagonal[k] =
+sum_{n=k}^{d} c_n * AWNT(n,k) for k >= 1 and c_0 = diagonal[0]; start_one
+(index 1, 2, 3, ...) with diagonal[k-1] = sum_{n=k}^{d+1} c_{n-1} * MWNT(n,k).
+As AWNT(n,k) = k! * S(n,k) and MWNT(n,k) = (k-1)! * S(n,k), dividing by the
+pivot turns both into diagonal[j]/j! = sum_{m=j}^{d} c_m * S(m+s, j+s) with
+s = 0 or 1, and S(j+s, j+s) = 1 isolates one coefficient per step, j = d..0.
 
 Arbitrary grids x0, x0+h, x0+2h, ... are handled by remapping to integer
 indexes with g(x) = (x - x0)/h, solving in the g basis, and composing back.
@@ -15,11 +13,14 @@ indexes with g(x) = (x - x0)/h, solving in the g basis, and composing back.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
+from math import factorial
 
 from .difftable import DegreeReport, scan_degree
 from .errors import DomainError, InconsistentSequenceError
 from .numeric import Rational, common_denominator
-from .triangles import awnt, mwnt
+from .triangles import awnt  # noqa: F401 -- unused here, kept for importers of seqfit.solver.awnt
+from .triangles import stirling_rows
 
 
 @dataclass(frozen=True)
@@ -63,47 +64,49 @@ class FitResult:
     degree_report: DegreeReport
 
 
+def _back_substitute(diagonal, d: int, s: int) -> Polynomial:
+    """Solve diagonal[j]/j! = sum_{m=j}^{d} c_m * S(m+s, j+s) in integers: with L the
+    common denominator, N_j = L*diagonal[j] and C_m = L*d!*c_m,
+    C_j = (d!/j!)*N_j - sum_{m>j} C_m * S(m+s, j+s)."""
+    den, numerators = common_denominator(tuple(diagonal)[:d + 1])
+    if len(numerators) < d + 1:
+        raise DomainError(f"need {d + 1} diagonal entries, got {len(numerators)}")
+    rows = list(islice(stirling_rows(d + s), s, None))  # rows[m] = S(m+s, .)
+    scaled = [0] * (d + 1)
+    weight = 1  # d!/j!
+    for j in range(d, -1, -1):
+        scaled[j] = weight * numerators[j] - sum(
+            scaled[m] * rows[m][j + s] for m in range(j + 1, d + 1))
+        weight *= j
+    return Polynomial(coefficients=tuple(Rational(c, den * factorial(d)) for c in scaled))
+
+
 def solve_start_zero(diagonal, d: int) -> Polynomial:
     """Recover c_0..c_d from the diagonal of a sequence indexed 0, 1, 2, ..."""
-    diagonal = tuple(diagonal)
-    if len(diagonal) < d + 1:
-        raise DomainError(f"need {d + 1} diagonal entries, got {len(diagonal)}")
-    coeffs: list[Rational | None] = [None] * (d + 1)
-    coeffs[0] = diagonal[0]
-    for k in range(d, 0, -1):
-        acc = sum((coeffs[n] * awnt(n, k) for n in range(k + 1, d + 1)), Rational(0))
-        coeffs[k] = (diagonal[k] - acc) / awnt(k, k)  # pivot k!
-    return Polynomial(coefficients=tuple(coeffs))
+    return _back_substitute(diagonal, d, 0)
 
 
 def solve_start_one(diagonal, d: int) -> Polynomial:
     """Recover c_0..c_d from the diagonal of a sequence indexed 1, 2, 3, ..."""
-    diagonal = tuple(diagonal)
-    if len(diagonal) < d + 1:
-        raise DomainError(f"need {d + 1} diagonal entries, got {len(diagonal)}")
-    coeffs: list[Rational | None] = [None] * (d + 1)
-    for k in range(d + 1, 0, -1):
-        acc = sum((coeffs[n - 1] * mwnt(n, k) for n in range(k + 1, d + 2)), Rational(0))
-        coeffs[k - 1] = (diagonal[k - 1] - acc) / mwnt(k, k)  # pivot (k-1)!
-    return Polynomial(coefficients=tuple(coeffs))
+    return _back_substitute(diagonal, d, 1)
 
 
 def compose_affine(poly_in_g: Polynomial, map: AffineMap) -> Polynomial:
-    """Expand p(g(x)) with g(x) = (x - x0)/h into coefficients over x."""
-    # Horner over the linear polynomial g(x) = (-x0/h) + (1/h) x
-    g0 = -map.x0 / map.h
-    g1 = 1 / map.h
-    result = [Rational(0)]
-    for c in reversed(poly_in_g.coefficients):
-        # result = result * (g0 + g1*x) + c
-        shifted = [Rational(0)] + [v * g1 for v in result]
-        for i, v in enumerate(result):
-            shifted[i] += v * g0
-        shifted[0] += c
-        result = shifted
+    """Expand p(g(x)) with g(x) = (x - x0)/h into coefficients over x, in integers:
+    with x0 = a/q, h = b/q and coefficients C_j/D, Horner's rule gives
+    p(g(x)) * D * b^d = sum_j C_j * b^(d-j) * (q*x - a)^j."""
+    q, (a, b) = common_denominator((map.x0, map.h))
+    den, coeffs = common_denominator(poly_in_g.coefficients)
+    result: list[int] = []
+    weight = 1  # b^(d-j)
+    for c in reversed(coeffs):  # result = result * (q*x - a) + c * b^(d-j)
+        result = [q * prev - a * cur for cur, prev in zip(result + [0], [0] + result)]
+        result[0] += c * weight
+        weight *= b
     while len(result) > 1 and result[-1] == 0:
         result.pop()
-    return Polynomial(coefficients=tuple(result))
+    scale = den * b**poly_in_g.degree
+    return Polynomial(coefficients=tuple(Rational(c, scale) for c in result))
 
 
 def first_mismatch(poly: Polynomial, values, start: Rational, step: Rational) -> int:

@@ -8,14 +8,17 @@ Two triangles are served:
   k! * S(n,k), computed as sum_{i=0}^{k} (-1)^(k-i) C(k,i) i^n.
 
 Indexing is 1-based (n, k) matching the printed tables; entries with n < k
-are 0 and are not stored.  The signed binomial-power sum is the definition;
-the Stirling recurrence is kept as an independent cross-check.
+are 0 and are not stored.  The signed binomial-power sum is the per-cell
+definition; whole tables scale Stirling rows built by recurrence and check
+their last row against it.
 """
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
-from math import factorial
+from itertools import accumulate, islice
+from operator import mul
 
 from .errors import DomainError, InternalConsistencyError
 from .numeric import binomial
@@ -39,24 +42,22 @@ def _signed_power_sum(n: int, k: int) -> int:
 def awnt(n: int, k: int) -> int:
     """AWNT(n, k) = k! * S(n, k); 0 for n < k."""
     if n < 1 or k < 1:
-        raise DomainError(f"awnt defined for n >= 1, k >= 1, got ({n}, {k})")
-    if n < k:
-        return 0
-    return _signed_power_sum(n, k)
+        raise DomainError(f"triangle cells need n >= 1, k >= 1, got ({n}, {k})")
+    return _signed_power_sum(n, k) if n >= k else 0
 
 
 def mwnt(n: int, k: int) -> int:
-    """MWNT(n, k) = (k-1)! * S(n, k); 0 for n < k."""
-    if n < 1 or k < 1:
-        raise DomainError(f"mwnt defined for n >= 1, k >= 1, got ({n}, {k})")
-    if n < k:
-        return 0
-    total = _signed_power_sum(n, k)
-    if total % k != 0:
-        raise InternalConsistencyError(
-            f"signed power sum {total} not divisible by k={k} at n={n}"
-        )
-    return total // k
+    """MWNT(n, k) = (k-1)! * S(n, k) = AWNT(n, k) / k; 0 for n < k."""
+    return awnt(n, k) // k
+
+
+def stirling_rows(max_n: int) -> Iterator[tuple[int, ...]]:
+    """Yield the rows S(n, 0..n) for n = 0..max_n by S(n,k) = k*S(n-1,k) + S(n-1,k-1)."""
+    row = (1,)
+    yield row
+    for n in range(1, max_n + 1):
+        row = (0, *(k * row[k] + row[k - 1] for k in range(1, n)), 1)
+        yield row
 
 
 def stirling2(n: int, k: int) -> int:
@@ -65,14 +66,7 @@ def stirling2(n: int, k: int) -> int:
         raise DomainError("stirling2 requires nonnegative arguments")
     if k > n:
         return 0
-    # row-by-row over k = 0..k, constant memory
-    row = [1] + [0] * k
-    for m in range(1, n + 1):
-        prev = row[:]
-        row[0] = 0
-        for j in range(1, min(m, k) + 1):
-            row[j] = j * prev[j] + prev[j - 1]
-    return row[k]
+    return next(islice(stirling_rows(n), n, None))[k]
 
 
 @dataclass(frozen=True)
@@ -100,22 +94,19 @@ _CELL_FN = {
 
 
 def build_triangle(kind: TriangleKind, max_n: int) -> Triangle:
-    """Materialize rows 1..max_n and self-check the inter-triangle identities."""
+    """Materialize rows 1..max_n and check the last against the signed power sum."""
     if max_n < 1:
         raise DomainError(f"max_n must be >= 1, got {max_n}")
-    cell = _CELL_FN[kind]
-    rows = tuple(tuple(cell(n, k) for k in range(1, n + 1)) for n in range(1, max_n + 1))
-    for n in range(1, max_n + 1):
-        for k in range(1, n + 1):
-            s = stirling2(n, k)
-            expected = {
-                TriangleKind.MWNT: factorial(k - 1) * s,
-                TriangleKind.AWNT: factorial(k) * s,
-                TriangleKind.STIRLING2: s,
-            }[kind]
-            if rows[n - 1][k - 1] != expected:
-                raise InternalConsistencyError(
-                    f"{kind.value} self-check failed at (n={n}, k={k}): "
-                    f"{rows[n - 1][k - 1]} != {expected}"
-                )
+    factorials = list(accumulate(range(1, max_n + 1), mul, initial=1))  # 0!..max_n!
+    weights = {  # entry / S(n,k) for k = 1..max_n
+        TriangleKind.MWNT: factorials[:-1],
+        TriangleKind.AWNT: factorials[1:],
+        TriangleKind.STIRLING2: [1] * max_n,
+    }[kind]
+    rows = tuple(tuple(map(mul, weights, row[1:]))
+                 for row in islice(stirling_rows(max_n), 1, None))
+    for k, value in enumerate(rows[-1], start=1):  # k! * entry = weight * (k! * S(n,k))
+        if factorials[k] * value != weights[k - 1] * _signed_power_sum(max_n, k):
+            raise InternalConsistencyError(
+                f"{kind.value} self-check failed at (n={max_n}, k={k}): {value}")
     return Triangle(kind=kind, max_n=max_n, rows=rows)

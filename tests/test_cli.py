@@ -1,5 +1,7 @@
 import json
+import sys
 
+import pytest
 from click.testing import CliRunner
 
 from seqfit.cli import main
@@ -75,6 +77,19 @@ class TestFitCommand:
         result = run(["fit", "--format", "json"], input="1\n" + "7" * 5000 + "\n3\n")
         assert result.exit_code == 2
         assert "input parse: scalar with 5000 digits" in result.output
+        assert "Traceback" not in result.output
+        assert isinstance(result.exception, SystemExit)
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="interpreter has no int/str digit limit")
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_oversize_result_is_a_format_error(self, fmt):
+        # the x coefficient 10^4400 has more digits than CPython prints by default
+        values = f"0\n{10**4000:d}\n{2 * 10**4000:d}\n"
+        result = run(["fit", "--step", f"1/{10**400:d}", "--format", fmt], input=values)
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert result.stderr.startswith("error (format): scalar too large to print")
         assert "Traceback" not in result.output
         assert isinstance(result.exception, SystemExit)
 

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from seqfit import binomial, format_scalar, parse_scalar
-from seqfit.errors import ScalarParseError, ZeroDenominatorError
+from seqfit.errors import DomainError, ScalarParseError, SeqfitError, ZeroDenominatorError
 
 
 class TestParseScalar:
@@ -121,4 +121,24 @@ class TestOversizeLiterals:
         before = sys.get_int_max_str_digits()
         with pytest.raises(ScalarParseError):
             parse_scalar(self.DIGITS)
+        assert sys.get_int_max_str_digits() == before
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="interpreter has no int/str digit limit")
+class TestOversizeResults:
+    BIG = 10**4400  # past CPython's default int/str conversion limit of 4300 digits
+
+    @pytest.mark.parametrize("value", [Fraction(BIG), Fraction(-BIG, 3), Fraction(3, BIG + 1),
+                                       Fraction(BIG + 1, 10**5)])
+    @pytest.mark.parametrize("prefer_decimal", [False, True])
+    def test_raises_domain_error_not_value_error(self, value, prefer_decimal):
+        with pytest.raises(DomainError, match="too large to print") as err:
+            format_scalar(value, prefer_decimal=prefer_decimal)
+        assert isinstance(err.value, SeqfitError)
+
+    def test_limit_is_left_as_it_was(self):
+        before = sys.get_int_max_str_digits()
+        with pytest.raises(DomainError):
+            format_scalar(Fraction(self.BIG))
         assert sys.get_int_max_str_digits() == before

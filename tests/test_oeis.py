@@ -1,3 +1,7 @@
+import io
+import urllib.error
+import urllib.request
+
 import pytest
 
 from seqfit import TriangleKind
@@ -23,6 +27,31 @@ class TestFetchBfile:
     def test_bad_id(self):
         with pytest.raises(BFileError, match="bad OEIS id"):
             fetch_bfile("bad", source="fixture")
+
+    def test_network_fetch_reads_the_bfile(self, monkeypatch):
+        requested = []
+
+        def fake_urlopen(url, timeout):
+            requested.append(url)
+            return io.BytesIO(b"# A019538\n1 1\n2 1\n3 2\n")
+
+        monkeypatch.setattr(urllib.request, "urlopen", fake_urlopen)
+        bfile = fetch_bfile("A019538", source="network")
+        assert requested == ["https://oeis.org/A019538/b019538.txt"]
+        assert bfile.entries == ((1, 1), (2, 1), (3, 2))
+
+    @pytest.mark.parametrize("error", [
+        urllib.error.URLError("name resolution failed"),
+        urllib.error.HTTPError("https://oeis.org/A019538/b019538.txt", 404, "Not Found", {}, None),
+        TimeoutError("timed out"),
+    ])
+    def test_network_failure_is_a_bfile_error(self, monkeypatch, error):
+        def fake_urlopen(url, timeout):
+            raise error
+
+        monkeypatch.setattr(urllib.request, "urlopen", fake_urlopen)
+        with pytest.raises(BFileError, match="fetch of https://oeis.org/A019538/b019538.txt failed"):
+            fetch_bfile("A019538", source="network")
 
     def test_bad_source(self):
         with pytest.raises(BFileError, match="unknown source"):

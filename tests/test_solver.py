@@ -2,13 +2,17 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seqfit import (
     AffineMap,
     Polynomial,
+    awnt,
     build_table,
     compose_affine,
     fit,
+    mwnt,
     solve_start_one,
     solve_start_zero,
     vandermonde_fit,
@@ -201,3 +205,80 @@ class TestFirstMismatch:
             values = [v if rng.random() < 0.8 else random_rational(rng) for v in samples]
             expected = next((i for i, v in enumerate(values) if p(x0 + i * h) != v), len(values))
             assert first_mismatch(p, values, x0, h) == expected
+
+
+# Per-cell back-substitution straight from the triangle definitions, with the
+# pivots AWNT(k,k) = k! and MWNT(k,k) = (k-1)!: the reference for the solver's
+# integer kernel.
+def reference_start_zero(diagonal, d):
+    coeffs = [None] * (d + 1)
+    coeffs[0] = Fraction(diagonal[0])
+    for k in range(d, 0, -1):
+        acc = sum((coeffs[n] * awnt(n, k) for n in range(k + 1, d + 1)), Fraction(0))
+        coeffs[k] = (diagonal[k] - acc) / awnt(k, k)
+    return tuple(coeffs)
+
+
+def reference_start_one(diagonal, d):
+    coeffs = [None] * (d + 1)
+    for k in range(d + 1, 0, -1):
+        acc = sum((coeffs[n - 1] * mwnt(n, k) for n in range(k + 1, d + 2)), Fraction(0))
+        coeffs[k - 1] = (diagonal[k - 1] - acc) / mwnt(k, k)
+    return tuple(coeffs)
+
+
+def reference_compose(coeffs, x0, h):
+    """p(g(x)) by Horner's rule in Fractions over g(x) = -x0/h + x/h."""
+    g0, g1 = -x0 / h, 1 / h
+    result = []
+    for c in reversed(coeffs):
+        result = [cur * g0 + prev * g1 for cur, prev in zip(result + [0], [0] + result)]
+        result[0] += c
+    while len(result) > 1 and result[-1] == 0:
+        result.pop()
+    return tuple(result)
+
+
+small_rationals = st.fractions(min_value=-50, max_value=50, max_denominator=10)
+wide_rationals = st.fractions(min_value=-10**9, max_value=10**9, max_denominator=10**6)
+steps = st.builds(lambda sign, size: sign * size, st.sampled_from((1, -1)),
+                  st.fractions(min_value=Fraction(1, 10), max_value=10, max_denominator=10))
+
+
+@st.composite
+def diagonals(draw):
+    d = draw(st.integers(min_value=0, max_value=25))
+    return d, draw(st.lists(wide_rationals, min_size=d + 1, max_size=d + 3))
+
+
+class TestSolverProperties:
+    @settings(max_examples=100, deadline=None)
+    @given(diagonals())
+    def test_both_conventions_match_the_reference(self, case):
+        d, diagonal = case
+        assert solve_start_zero(diagonal, d).coefficients == reference_start_zero(diagonal, d)
+        assert solve_start_one(diagonal, d).coefficients == reference_start_one(diagonal, d)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(small_rationals, min_size=1, max_size=12),
+           st.integers(min_value=0, max_value=3), small_rationals, steps)
+    def test_compose_affine_matches_fraction_horner(self, coeffs, zeros, x0, h):
+        coeffs = coeffs + [Fraction(0)] * zeros  # zero leading coefficients are trimmed
+        p = Polynomial(coefficients=tuple(coeffs))
+        composed = compose_affine(p, AffineMap(x0, h))
+        assert composed.coefficients == reference_compose(coeffs, x0, h)
+        for x in (x0, x0 + h, Fraction(7, 3)):
+            assert composed(x) == p((x - x0) / h)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(small_rationals, min_size=1, max_size=7), small_rationals, steps,
+           st.integers(min_value=2, max_value=5), st.sampled_from(("start_zero", "start_one")))
+    def test_fit_agrees_with_the_vandermonde_oracle(self, coeffs, x0, h, extra, convention):
+        p = Polynomial(coefficients=tuple(coeffs))
+        xs = [x0 + i * h for i in range(len(coeffs) - 1 + extra)]
+        values = [p(x) for x in xs]
+        result = fit(values, AffineMap(x0, h), convention)
+        assert result.poly_in_x.coefficients == vandermonde_fit(zip(xs, values)).coefficients
+        first = 1 if convention == "start_one" else 0
+        indexed = [(first + i, v) for i, v in enumerate(values)]
+        assert result.poly_in_g.coefficients == vandermonde_fit(indexed).coefficients

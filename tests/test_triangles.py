@@ -1,9 +1,15 @@
+import json
+from functools import cache
 from math import factorial
 
 import pytest
+from click.testing import CliRunner
 
 from seqfit import TriangleKind, awnt, binomial, build_triangle, mwnt, stirling2
-from seqfit.errors import DomainError
+from seqfit import triangles
+from seqfit.cli import main
+from seqfit.errors import DomainError, InternalConsistencyError
+from seqfit.triangles import _signed_power_sum
 
 from conftest import AWNT_TABLE, MWNT_TABLE
 
@@ -123,3 +129,65 @@ class TestIdentities:
                     for i in range(1, k + 1)
                 )
                 assert total == mwnt(q + 1, k), (q, k)
+
+
+# entry(n, k) / S(n, k) per kind
+WEIGHTS = {
+    TriangleKind.MWNT: lambda k: factorial(k - 1),
+    TriangleKind.AWNT: factorial,
+    TriangleKind.STIRLING2: lambda k: 1,
+}
+
+
+@cache
+def expected_rows(kind, max_n):
+    """Rows 1..max_n from the per-cell stirling2, scaled by k!, (k-1)! or 1."""
+    return [[WEIGHTS[kind](k) * stirling2(n, k) for k in range(1, n + 1)]
+            for n in range(1, max_n + 1)]
+
+
+class TestBuildTriangleCells:
+    @pytest.mark.parametrize("kind", list(TriangleKind))
+    def test_every_cell_to_40_rows_matches_both_definitions(self, kind):
+        rows = build_triangle(kind, 40).rows
+        for n in range(1, 41):
+            for k in range(1, n + 1):
+                # the signed power sum is k! * S(n, k)
+                by_power_sum = _signed_power_sum(n, k) * WEIGHTS[kind](k) // factorial(k)
+                assert rows[n - 1][k - 1] == by_power_sum, (n, k)
+        assert [list(row) for row in rows] == expected_rows(kind, 40)
+
+    @pytest.mark.parametrize("kind", list(TriangleKind))
+    def test_wrong_last_row_fails_the_self_check(self, kind, monkeypatch):
+        real = triangles.stirling_rows
+
+        def corrupted(max_n):
+            for n, row in enumerate(real(max_n)):
+                yield row if n < max_n else (*row[:3], row[3] + 1, *row[4:])
+
+        monkeypatch.setattr(triangles, "stirling_rows", corrupted)
+        with pytest.raises(InternalConsistencyError, match=r"\(n=6, k=3\)"):
+            build_triangle(kind, 6)
+
+
+class TestTriangleCommandBytes:
+    """`seqfit triangle` output, rebuilt here from stirling2 and the output formats."""
+
+    @staticmethod
+    def expected_output(kind, rows, fmt):
+        table = expected_rows(kind, rows)
+        if fmt == "json":
+            return json.dumps({"kind": kind.value, "rows": table}, indent=2) + "\n"
+        if fmt == "bfile":
+            cells = [value for row in table for value in row]
+            return "".join(f"{i} {value}\n" for i, value in enumerate(cells, start=1))
+        return "".join("  ".join(str(v) for v in row) + "\n" for row in table)
+
+    @pytest.mark.parametrize("rows", [1, 25, 60])
+    @pytest.mark.parametrize("fmt", ["table", "json", "bfile"])
+    @pytest.mark.parametrize("kind", list(TriangleKind))
+    def test_output_is_byte_identical(self, kind, fmt, rows):
+        result = CliRunner().invoke(
+            main, ["triangle", f"--kind={kind.value}", f"--rows={rows}", f"--format={fmt}"])
+        assert result.exit_code == 0
+        assert result.stdout == self.expected_output(kind, rows, fmt)
