@@ -156,16 +156,22 @@ def _format_table(table, degree, fmt: str) -> str:
 def triangle_cmd(kind, rows, fmt):
     """Print a number triangle with the given number of rows."""
     triangle = build_triangle(TriangleKind(kind), rows)
-    if fmt == "json":
-        payload = {"kind": kind, "rows": [list(row) for row in triangle.rows]}
-        click.echo(json.dumps(payload, indent=2))
-    elif fmt == "bfile":
-        cells = (value for row in triangle.rows for value in row)
-        for index, value in enumerate(cells, start=1):
-            click.echo(f"{index} {value}")
-    else:
-        for row in triangle.rows:
-            click.echo("  ".join(str(v) for v in row))
+    try:
+        click.echo(_format_triangle(kind, triangle.rows, fmt))
+    except DomainError as exc:
+        _fail("format", exc)
+
+
+def _format_triangle(kind: str, rows, fmt: str) -> str:
+    try:
+        if fmt == "json":
+            return json.dumps({"kind": kind, "rows": [list(row) for row in rows]}, indent=2)
+        if fmt == "bfile":
+            cells = (value for row in rows for value in row)
+            return "\n".join(f"{index} {value}" for index, value in enumerate(cells, start=1))
+        return "\n".join("  ".join(str(v) for v in row) for row in rows)
+    except ValueError as exc:  # only CPython's int/str digit limit
+        raise DomainError(f"scalar too large to print: {exc}") from None
 
 
 @main.command("verify")

@@ -140,6 +140,23 @@ class TestTriangleCommand:
     def test_rows_required(self):
         assert run(["triangle", "--kind", "mwnt"]).exit_code == 2
 
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                        reason="interpreter has no int/str digit limit")
+    @pytest.mark.parametrize("fmt", ["table", "json", "bfile"])
+    def test_cells_past_the_digit_limit_are_a_format_error(self, fmt):
+        # AWNT row 300 holds 300! (615 digits) and larger cells; 640 is the lowest limit allowed
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            result = run(["triangle", "--kind", "awnt", "--rows", "300", "--format", fmt])
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert result.stderr.startswith("error (format): scalar too large to print")
+        assert "Traceback" not in result.output
+        assert isinstance(result.exception, SystemExit)
+
 
 class TestVerifyCommand:
     def test_self_checks_pass(self):

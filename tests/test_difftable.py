@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -5,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seqfit import build_table, detect_degree, diagonal_direct
+from seqfit import difftable
 from seqfit.difftable import scan_degree
 from seqfit.errors import DomainError, NotPolynomialError
 
@@ -122,17 +124,38 @@ def polynomial_samples(coeffs, x0, h, extra):
             for i in range(len(coeffs) + extra)]
 
 
-sequences = st.one_of(
-    st.lists(rationals, min_size=2, max_size=12),
-    st.builds(polynomial_samples, st.lists(rationals, min_size=1, max_size=6), rationals,
-              rationals.filter(bool), st.integers(min_value=1, max_value=5)),
-)
+def perturbed(values, where, q):
+    """values with one sample, the first, a middle or the last, moved by 1/q."""
+    index = {"first": 0, "middle": len(values) // 2, "last": len(values) - 1}[where]
+    return [v + Fraction(1, q) if i == index else v for i, v in enumerate(values)]
+
+
+DEPTH = difftable._DEEPEST_ROW_TEST_DEPTH
+coefficients = st.lists(rationals, min_size=1, max_size=DEPTH + 8).filter(lambda c: c[-1])
+
+
+@st.composite
+def scan_cases(draw):
+    """(values, min_witnesses): m up to ~40, min_witnesses 2-5, degrees at and
+    past the test depth, one sample moved, and m close to min_witnesses."""
+    min_witnesses = draw(st.integers(min_value=2, max_value=5))
+    polynomial = st.builds(polynomial_samples, coefficients, rationals, rationals.filter(bool),
+                           st.integers(min_value=1, max_value=26))
+    # m = degree + min_witnesses: the constant row is the deepest one with enough entries
+    deepest_constant = st.builds(polynomial_samples, coefficients, rationals,
+                                 rationals.filter(bool), st.just(min_witnesses - 1))
+    moved = st.builds(perturbed, st.one_of(polynomial, deepest_constant),
+                      st.sampled_from(["first", "middle", "last"]), st.integers(1, 9))
+    near = st.lists(rationals, min_size=max(2, min_witnesses - 1), max_size=min_witnesses + 2)
+    noise = st.lists(rationals, min_size=2, max_size=40)
+    return draw(st.one_of(polynomial, deepest_constant, moved, near, noise)), min_witnesses
 
 
 class TestScanDegree:
-    @settings(max_examples=200)
-    @given(sequences, st.integers(min_value=2, max_value=4))
-    def test_matches_detect_degree_on_the_full_table(self, values, min_witnesses):
+    @settings(max_examples=400, deadline=None)
+    @given(scan_cases())
+    def test_matches_detect_degree_on_the_full_table(self, case):
+        values, min_witnesses = case
         table = build_table(values)
         try:
             expected = detect_degree(table, min_witnesses=min_witnesses)
@@ -146,6 +169,46 @@ class TestScanDegree:
         assert report == expected
         assert diagonal == table.main_diagonal[: report.degree + 1]
         assert list(diagonal) == [diagonal_direct(values, k) for k in range(report.degree + 1)]
+
+    @pytest.mark.parametrize("min_witnesses", [2, 5])
+    def test_non_polynomial_input_reads_few_rows(self, min_witnesses, monkeypatch):
+        pulled = 0
+        real = difftable._difference_rows
+
+        def counted(row):
+            nonlocal pulled
+            for r in real(row):
+                pulled += 1
+                yield r
+
+        monkeypatch.setattr(difftable, "_difference_rows", counted)
+        values = [Fraction(5**i) for i in range(500)]
+        with pytest.raises(NotPolynomialError) as err:
+            scan_degree(values, min_witnesses=min_witnesses)
+        assert err.value.deepest_row == 500 - min_witnesses
+        assert str(err.value).startswith(
+            f"no constant row with >= {min_witnesses} entries down to row {500 - min_witnesses};")
+        assert pulled <= DEPTH + 1
+
+    def test_high_degree_polynomial_still_fits(self):
+        # past the test depth, the deepest row with 5 entries is row d, constant, so the scan goes on
+        d = DEPTH + 20
+        values = [Fraction(i**d - 3 * i, 7) for i in range(d + 5)]
+        report, diagonal = scan_degree(values, min_witnesses=5)
+        assert (report.degree, report.witnesses) == (d, 5)
+        assert report.constant_row_value == Fraction(math.factorial(d), 7)
+        assert len(diagonal) == d + 1
+
+    @pytest.mark.parametrize("min_witnesses", [4, 5, 9])
+    def test_more_witnesses_than_values_reads_down_to_row_minus_one(self, min_witnesses):
+        values = [Fraction(v) for v in (1, 2, 4)]
+        for degree_of in (lambda: scan_degree(values, min_witnesses=min_witnesses),
+                          lambda: detect_degree(build_table(values), min_witnesses=min_witnesses)):
+            with pytest.raises(NotPolynomialError) as err:
+                degree_of()
+            assert str(err.value) == (f"no constant row with >= {min_witnesses} entries down to "
+                                      "row -1; not polynomial within the observed window")
+            assert err.value.deepest_row == -1
 
     def test_golden_example(self, seq_start_zero):
         report, diagonal = scan_degree(seq_start_zero)
