@@ -6,11 +6,10 @@ by back-substitution against Worpitzky number triangles, all in exact
 rational arithmetic.
 """
 
-from .difftable import DegreeReport, DifferenceTable, build_table, detect_degree, diagonal_direct
+from .difftable import DegreeReport, DifferenceTable, build_table, detect_degree
 from .numeric import Rational, binomial, format_scalar, parse_scalar
-from .oracle import EfdtParams, efdt_sum, vandermonde_fit
 from .solver import AffineMap, FitResult, Polynomial, compose_affine, fit, solve_start_one, solve_start_zero
-from .triangles import Triangle, TriangleKind, awnt, build_triangle, mwnt, stirling2
+from .triangles import TriangleKind, awnt, build_triangle, mwnt, stirling2
 
 __version__ = "0.1.0"
 
@@ -18,11 +17,9 @@ __all__ = [
     "AffineMap",
     "DegreeReport",
     "DifferenceTable",
-    "EfdtParams",
     "FitResult",
     "Polynomial",
     "Rational",
-    "Triangle",
     "TriangleKind",
     "awnt",
     "binomial",
@@ -30,8 +27,6 @@ __all__ = [
     "build_triangle",
     "compose_affine",
     "detect_degree",
-    "diagonal_direct",
-    "efdt_sum",
     "fit",
     "format_scalar",
     "mwnt",
@@ -39,5 +34,4 @@ __all__ = [
     "solve_start_one",
     "solve_start_zero",
     "stirling2",
-    "vandermonde_fit",
 ]

@@ -17,17 +17,21 @@ from .difftable import build_table, detect_degree
 from .errors import BFileError, DomainError, ScalarParseError, SeqfitError
 from .numeric import Rational, format_scalar, parse_scalar
 from .oeis import crosscheck_triangle, fetch_bfile
-from .oracle import EfdtParams, efdt_sum, vandermonde_fit
+from .oracle import efdt_sum, vandermonde_fit
 from .solver import AffineMap, fit
 from .triangles import TriangleKind, awnt, build_triangle, mwnt, stirling2
 
-_CONVENTIONS = {"auto": "auto", "start-zero": "start_zero", "start-one": "start_one"}
+_CONVENTIONS = {"auto": "start_zero", "start-zero": "start_zero", "start-one": "start_one"}
 
 
 def _read_values(input_file) -> list[Rational]:
     """Parse newline- or comma-separated scalars, skipping '#' comment lines."""
+    try:
+        text = input_file.read()
+    except UnicodeDecodeError as exc:
+        raise click.UsageError(f"input parse: {exc}")
     values = []
-    for raw in input_file.read().splitlines():
+    for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -155,9 +159,9 @@ def _format_table(table, degree, fmt: str) -> str:
 @click.option("--format", "fmt", type=click.Choice(["table", "json", "bfile"]), default="table")
 def triangle_cmd(kind, rows, fmt):
     """Print a number triangle with the given number of rows."""
-    triangle = build_triangle(TriangleKind(kind), rows)
+    table = build_triangle(TriangleKind(kind), rows)
     try:
-        click.echo(_format_triangle(kind, triangle.rows, fmt))
+        click.echo(_format_triangle(kind, table, fmt))
     except DomainError as exc:
         _fail("format", exc)
 
@@ -243,8 +247,8 @@ def _run_self_checks() -> int:
         z, b = random_scalar(), random_scalar()
         for k in range(1, 11):
             for n in range(0, k):
-                efdt_ok &= efdt_sum(EfdtParams(z=z, b=b, n=n, k=k)) == 0
-            efdt_ok &= efdt_sum(EfdtParams(z=z, b=b, n=k, k=k)) == b**k * factorial(k)
+                efdt_ok &= efdt_sum(z, b, n, k) == 0
+            efdt_ok &= efdt_sum(z, b, k, k) == b**k * factorial(k)
     check("finite-difference sums: 0 below the diagonal, b^k * k! on it", efdt_ok)
 
     agree = True

@@ -7,14 +7,14 @@ CLI flag.
 
 Orientation note: the rows printed for A028246 in its OEIS entry are
 identical to the MWNT rows generated here ((k-1)! * S(n,k) with k = 1..n),
-so the cross-check uses the direct row order for both sequences, with
-per-row reversal available as an explicit option.
+so the cross-check uses the direct row order for both sequences.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
 from importlib import resources
+from itertools import count
 
 from .errors import BFileError
 from .triangles import TriangleKind, build_triangle
@@ -89,38 +89,26 @@ def fetch_bfile(sequence_id: str, source: str = "fixture") -> BFile:
     return parse_bfile(sequence_id, text)
 
 
-def _linear_to_nk(index: int) -> tuple[int, int]:
-    # row-major 1-based: index = n(n-1)/2 + k with 1 <= k <= n
-    n = 1
-    while n * (n + 1) // 2 < index:
-        n += 1
-    k = index - n * (n - 1) // 2
-    return n, k
-
-
-def crosscheck_triangle(
-    kind: TriangleKind, bfile: BFile, cells: int, mirror_rows: bool = False
-) -> CrosscheckReport:
-    """Compare the first `cells` triangular cells against a b-file.
-
-    With mirror_rows each generated row is reversed before comparison.
-    """
+def crosscheck_triangle(kind: TriangleKind, bfile: BFile, cells: int) -> CrosscheckReport:
+    """Compare the first `cells` triangular cells, read row by row, against a b-file
+    whose entries must be indexed 1, 2, 3, ..."""
     if cells > len(bfile.entries):
         raise BFileError(
             f"requested {cells} cells but {bfile.sequence_id} has {len(bfile.entries)}"
         )
-    max_n, _ = _linear_to_nk(cells)
-    triangle = build_triangle(kind, max_n)
+    max_n = next(n for n in count(1) if n * (n + 1) // 2 >= cells)
+    ours = ((n, k, value) for n, row in enumerate(build_triangle(kind, max_n), start=1)
+            for k, value in enumerate(row, start=1))
     matched = 0
     first_mismatch = None
-    for i in range(cells):
-        _, value = bfile.entries[i]
-        n, k = _linear_to_nk(i + 1)
-        ours = triangle.value(n, n + 1 - k) if mirror_rows else triangle.value(n, k)
-        if ours == value:
+    for i, ((index, theirs), (n, k, value)) in enumerate(
+            zip(bfile.entries[:cells], ours), start=1):
+        if index != i:
+            raise BFileError(f"{bfile.sequence_id}: entry {i} has index {index}, expected {i}")
+        if value == theirs:
             matched += 1
         elif first_mismatch is None:
-            first_mismatch = (n, k, ours, value)
+            first_mismatch = (n, k, value, theirs)
     return CrosscheckReport(
         kind=kind, cells_checked=cells, matched=matched, first_mismatch=first_mismatch
     )

@@ -7,26 +7,16 @@ for n = k.  Exact arithmetic throughout, so agreement checks are equalities.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import DomainError
 from .numeric import Rational, binomial
 from .solver import Polynomial
 
 
-@dataclass(frozen=True)
-class EfdtParams:
-    z: Rational
-    b: Rational
-    n: int
-    k: int
-
-
-def efdt_sum(params: EfdtParams) -> Rational:
+def efdt_sum(z: Rational, b: Rational, n: int, k: int) -> Rational:
     """Direct evaluation of sum_{i=0}^{k} (-1)^i C(k,i) (z - b*i)^n."""
     total = Rational(0)
-    for i in range(params.k + 1):
-        term = binomial(params.k, i) * (params.z - params.b * i) ** params.n
+    for i in range(k + 1):
+        term = binomial(k, i) * (z - b * i) ** n
         total += -term if i % 2 else term
     return total
 

@@ -59,8 +59,7 @@ class AffineMap:
 class FitResult:
     poly_in_g: Polynomial
     poly_in_x: Polynomial
-    map: AffineMap
-    index_map: AffineMap  # the map actually applied; differs from `map` for start_one
+    index_map: AffineMap  # g(x) = (x - x0)/h on the input grid, x0 moved back one h for start_one
     degree_report: DegreeReport
 
 
@@ -132,30 +131,25 @@ def first_mismatch(poly: Polynomial, values, start: Rational, step: Rational) ->
     return len(values)
 
 
-def fit(values, map: AffineMap, convention: str = "auto", min_witnesses: int = 2) -> FitResult:
+def fit(values, map: AffineMap, convention: str = "start_zero",
+        min_witnesses: int = 2) -> FitResult:
     """End-to-end fit: difference rows, degree, solve, recompose, verify."""
     values = tuple(values)
     if len(values) < 2:
         raise DomainError("fit needs at least two sequence values")
-    if convention not in ("auto", "start_zero", "start_one"):
+    shift = {"start_zero": 0, "start_one": 1}.get(convention)
+    if shift is None:
         raise DomainError(f"unknown convention {convention!r}")
 
     report, diagonal = scan_degree(values, min_witnesses=min_witnesses)
     d = report.degree
 
-    if convention == "start_one":
-        poly_in_g = solve_start_one(diagonal, d)
-        # g basis starts at index 1: m(x) = (x - x0)/h + 1 = (x - (x0 - h))/h
-        index_map = AffineMap(x0=map.x0 - map.h, h=map.h)
-        first_index = Rational(1)
-    else:
-        poly_in_g = solve_start_zero(diagonal, d)
-        index_map = map
-        first_index = Rational(0)
-
+    poly_in_g = (solve_start_one if shift else solve_start_zero)(diagonal, d)
+    # the g basis starts at index `shift`: g(x) = (x - x0)/h + shift = (x - (x0 - shift*h))/h
+    index_map = AffineMap(x0=map.x0 - shift * map.h, h=map.h)
     poly_in_x = compose_affine(poly_in_g, index_map)
 
-    i = min(first_mismatch(poly_in_g, values, first_index, Rational(1)),
+    i = min(first_mismatch(poly_in_g, values, Rational(shift), Rational(1)),
             first_mismatch(poly_in_x, values, map.x0, map.h))
     if i < len(values):
         raise InconsistentSequenceError(
@@ -165,7 +159,6 @@ def fit(values, map: AffineMap, convention: str = "auto", min_witnesses: int = 2
     return FitResult(
         poly_in_g=poly_in_g,
         poly_in_x=poly_in_x,
-        map=map,
         index_map=index_map,
         degree_report=report,
     )

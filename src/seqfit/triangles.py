@@ -15,7 +15,6 @@ their last row against it.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate, islice
 from operator import mul
@@ -69,32 +68,8 @@ def stirling2(n: int, k: int) -> int:
     return next(islice(stirling_rows(n), n, None))[k]
 
 
-@dataclass(frozen=True)
-class Triangle:
-    """Materialized triangular table; rows[n-1] holds entries for k = 1..n."""
-
-    kind: TriangleKind
-    max_n: int
-    rows: tuple[tuple[int, ...], ...]
-
-    def value(self, n: int, k: int) -> int:
-        """Entry at (n, k); 0 for n < k; recomputes beyond the stored range."""
-        if n < k:
-            return 0
-        if n <= self.max_n:
-            return self.rows[n - 1][k - 1]
-        return _CELL_FN[self.kind](n, k)
-
-
-_CELL_FN = {
-    TriangleKind.MWNT: mwnt,
-    TriangleKind.AWNT: awnt,
-    TriangleKind.STIRLING2: stirling2,
-}
-
-
-def build_triangle(kind: TriangleKind, max_n: int) -> Triangle:
-    """Materialize rows 1..max_n and check the last against the signed power sum."""
+def build_triangle(kind: TriangleKind, max_n: int) -> tuple[tuple[int, ...], ...]:
+    """Rows 1..max_n (rows[n-1] holds k = 1..n); checks the last against the signed power sum."""
     if max_n < 1:
         raise DomainError(f"max_n must be >= 1, got {max_n}")
     factorials = list(accumulate(range(1, max_n + 1), mul, initial=1))  # 0!..max_n!
@@ -109,4 +84,4 @@ def build_triangle(kind: TriangleKind, max_n: int) -> Triangle:
         if factorials[k] * value != weights[k - 1] * _signed_power_sum(max_n, k):
             raise InternalConsistencyError(
                 f"{kind.value} self-check failed at (n={max_n}, k={k}): {value}")
-    return Triangle(kind=kind, max_n=max_n, rows=rows)
+    return rows

@@ -4,7 +4,9 @@ import sys
 import pytest
 from click.testing import CliRunner
 
+from seqfit import cli
 from seqfit.cli import main
+from seqfit.oeis import BFile
 
 from conftest import SEQ_DECIMAL, SEQ_START_ONE, SEQ_START_ZERO
 
@@ -98,6 +100,29 @@ class TestFitCommand:
         assert result.exit_code == 1
         assert "error (fit)" in result.output
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("values, grid", [(SEQ_START_ZERO, ["--start", "0", "--step", "1"]),
+                                              (SEQ_DECIMAL, ["--start", "3.3", "--step", "0.1"])])
+    def test_auto_convention_prints_the_start_zero_bytes(self, tmp_path, values, grid, fmt):
+        path = write_sequence(tmp_path, values)
+        auto, zero = (run(["fit", path, *grid, "--format", fmt, "--convention", convention])
+                      for convention in ("auto", "start-zero"))
+        assert auto.exit_code == zero.exit_code == 0
+        assert auto.stdout_bytes == zero.stdout_bytes
+        assert auto.stderr_bytes == zero.stderr_bytes
+
+
+@pytest.mark.parametrize("command", ["fit", "difftable"])
+def test_non_utf8_input_is_usage_error(command, tmp_path):
+    path = tmp_path / "sequence.txt"
+    path.write_bytes(b"\xff\xfe\n")
+    for result in (run([command], input=b"\xff\xfe\n"), run([command, str(path)])):
+        assert result.exit_code == 2
+        assert result.stderr.endswith("Error: input parse: 'utf-8' codec can't decode byte 0xff "
+                                      "in position 0: invalid start byte\n")
+        assert "Traceback" not in result.output
+        assert isinstance(result.exception, SystemExit)
+
 
 class TestDifftableCommand:
     def test_table_output(self):
@@ -173,6 +198,19 @@ class TestVerifyCommand:
     def test_oeis_mwnt_crosscheck(self):
         result = run(["verify", "--oeis", "A028246"])
         assert result.exit_code == 0
+
+    def test_oeis_bfile_with_an_index_gap_is_an_oeis_error(self, monkeypatch):
+        real = cli.fetch_bfile
+
+        def gapped(sequence_id, source):
+            bfile = real(sequence_id, source)
+            return BFile(bfile.sequence_id, bfile.entries[:13] + bfile.entries[14:])
+
+        monkeypatch.setattr(cli, "fetch_bfile", gapped)
+        result = run(["verify", "--oeis", "A019538", "--cells", "45"])
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert result.stderr == "error (oeis): A019538: entry 14 has index 15, expected 14\n"
 
     def test_unknown_sequence_is_usage_error(self):
         assert run(["verify", "--oeis", "A000001"]).exit_code == 2

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seqfit import build_table, detect_degree, diagonal_direct
+from seqfit import build_table, detect_degree
 from seqfit import difftable
-from seqfit.difftable import scan_degree
+from seqfit.difftable import diagonal_direct, scan_degree
 from seqfit.errors import DomainError, NotPolynomialError
 
 from conftest import DIAG_START_ONE, DIAG_START_ZERO

@@ -106,10 +106,24 @@ class TestCrosscheck:
         assert ours == 240 and theirs == 241
 
     def test_mirrored_comparison_detects_orientation(self):
-        # reversing rows must break the match (rows are not palindromes)
-        bfile = fetch_bfile("A028246", source="fixture")
-        report = crosscheck_triangle(TriangleKind.MWNT, bfile, 45, mirror_rows=True)
+        # a b-file with every row reversed must not match (rows are not palindromes)
+        values = [v for _, v in fetch_bfile("A028246", source="fixture").entries[:45]]
+        rows = [values[n * (n - 1) // 2:n * (n + 1) // 2] for n in range(1, 10)]
+        mirrored = [v for row in rows for v in reversed(row)]
+        bfile = BFile("A028246", tuple(enumerate(mirrored, start=1)))
+        report = crosscheck_triangle(TriangleKind.MWNT, bfile, 45)
         assert not report.ok
+        assert report.first_mismatch == (3, 1, 1, 2)  # row 3 reads 2 3 1
+
+    @pytest.mark.parametrize("edit", [
+        lambda entries: entries[:13] + entries[14:],  # index 14 is missing
+        lambda entries: tuple((i - 1, v) for i, v in entries),  # indexed from 0
+    ], ids=["gap", "offset-0"])
+    def test_entries_must_be_indexed_from_one_without_gaps(self, edit):
+        bfile = fetch_bfile("A019538", source="fixture")
+        broken = BFile("A019538", edit(bfile.entries))
+        with pytest.raises(BFileError, match="has index"):
+            crosscheck_triangle(TriangleKind.AWNT, broken, 45)
 
     def test_too_many_cells_requested(self):
         bfile = fetch_bfile("A019538", source="fixture")

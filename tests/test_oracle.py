@@ -1,11 +1,14 @@
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import factorial
 
 import pytest
 
-from seqfit import EfdtParams, Polynomial, awnt, binomial, efdt_sum, fit, vandermonde_fit
+from seqfit import Polynomial, awnt, binomial, fit
 from seqfit.errors import DomainError
+from seqfit.oracle import efdt_sum, vandermonde_fit
 from seqfit.solver import AffineMap
 
 
@@ -33,14 +36,14 @@ class TestVandermondeFit:
 
 class TestEfdtSum:
     def test_zero_below_diagonal(self):
-        assert efdt_sum(EfdtParams(z=Fraction(17, 3), b=Fraction(-4), n=3, k=5)) == 0
+        assert efdt_sum(Fraction(17, 3), Fraction(-4), 3, 5) == 0
 
     def test_diagonal_value(self):
-        assert efdt_sum(EfdtParams(z=Fraction(2), b=Fraction(3), n=4, k=4)) == 1944
+        assert efdt_sum(Fraction(2), Fraction(3), 4, 4) == 1944
         assert 1944 == 3**4 * factorial(4)
 
     def test_awnt_special_case(self):
-        value = efdt_sum(EfdtParams(z=Fraction(0), b=Fraction(-1), n=6, k=6))
+        value = efdt_sum(Fraction(0), Fraction(-1), 6, 6)
         assert (-1) ** 6 * value == 720 == awnt(6, 6)
 
     def test_random_z_b_identities(self):
@@ -50,13 +53,13 @@ class TestEfdtSum:
             b = Fraction(rng.randint(-30, 30), rng.randint(1, 7))
             for k in range(1, 11):
                 for n in range(0, k):
-                    assert efdt_sum(EfdtParams(z=z, b=b, n=n, k=k)) == 0
-                assert efdt_sum(EfdtParams(z=z, b=b, n=k, k=k)) == b**k * factorial(k)
+                    assert efdt_sum(z, b, n, k) == 0
+                assert efdt_sum(z, b, k, k) == b**k * factorial(k)
 
     def test_awnt_derivation_chain(self):
         for n in range(1, 10):
             for k in range(1, 10):
-                value = efdt_sum(EfdtParams(z=Fraction(0), b=Fraction(-1), n=n, k=k))
+                value = efdt_sum(Fraction(0), Fraction(-1), n, k)
                 assert (-1) ** k * value == awnt(n, k)
 
 
@@ -106,3 +109,10 @@ def test_oracle_agrees_with_fit_on_random_instances():
         points = [(x, p(x)) for x in xs]
         via_fit = fit([y for _, y in points], AffineMap(x0, h))
         assert vandermonde_fit(points).coefficients == via_fit.poly_in_x.coefficients
+
+
+def test_import_seqfit_does_not_load_the_oracle():
+    # the oracle is a test reference, imported from seqfit.oracle where needed
+    probe = "import sys, seqfit; print('seqfit.oracle' in sys.modules, hasattr(seqfit, 'efdt_sum'))"
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
+    assert out.stdout == "False False\n"
