@@ -158,9 +158,14 @@ def scan_degree(values, min_witnesses: int = 2) -> tuple[DegreeReport, tuple[Rat
     is, so non-polynomial input costs O(m * (depth + min_witnesses)), not
     O(m^2).
     """
-    values = tuple(values)
-    _check_degree_args(len(values), min_witnesses)
-    denominator, ints = common_denominator(values)
+    return scan_degree_scaled(*common_denominator(tuple(values)), min_witnesses=min_witnesses)
+
+
+def scan_degree_scaled(denominator: int, ints: list[int],
+                       min_witnesses: int = 2) -> tuple[DegreeReport, tuple[Rational, ...]]:
+    """scan_degree over values given as common_denominator(values) returns
+    them: ints[i] = denominator * values[i]."""
+    _check_degree_args(len(ints), min_witnesses)
     diagonal, row = _first_constant_row(_rows_rejecting_early(ints, min_witnesses), min_witnesses)
     report = DegreeReport(
         degree=len(diagonal) - 1,

@@ -13,14 +13,13 @@ indexes with g(x) = (x - x0)/h, solving in the g basis, and composing back.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 from math import factorial
 
-from .difftable import DegreeReport, scan_degree
+from .difftable import DegreeReport, scan_degree_scaled
 from .errors import DomainError, InconsistentSequenceError
 from .numeric import Rational, common_denominator
 from .triangles import awnt  # noqa: F401 -- unused here, kept for importers of seqfit.solver.awnt
-from .triangles import stirling_rows
+from .triangles import stirling_table
 
 
 @dataclass(frozen=True)
@@ -70,7 +69,7 @@ def _back_substitute(diagonal, d: int, s: int) -> Polynomial:
     den, numerators = common_denominator(tuple(diagonal)[:d + 1])
     if len(numerators) < d + 1:
         raise DomainError(f"need {d + 1} diagonal entries, got {len(numerators)}")
-    rows = list(islice(stirling_rows(d + s), s, None))  # rows[m] = S(m+s, .)
+    rows = stirling_table(d + s)[s:]  # rows[m] = S(m+s, .)
     scaled = [0] * (d + 1)
     weight = 1  # d!/j!
     for j in range(d, -1, -1):
@@ -108,32 +107,41 @@ def compose_affine(poly_in_g: Polynomial, map: AffineMap) -> Polynomial:
     return Polynomial(coefficients=tuple(Rational(c, scale) for c in result))
 
 
-def first_mismatch(poly: Polynomial, values, start: Rational, step: Rational) -> int:
-    """Index of the first value that poly(start + i*step) does not equal;
-    len(values) when poly reproduces them all.
+def first_mismatch(poly: Polynomial, den: int, ints, start: Rational, step: Rational) -> int:
+    """Index of the first value ints[i]/den that poly(start + i*step) does not
+    equal; len(ints) when poly reproduces them all.  (den, ints) is the form
+    common_denominator(values) returns.
 
     Exact, in integers: with start = a/q, step = b/q and coefficients
     C_j = c_j/D over their common denominator D, Horner's rule on the
     homogeneous form sum_j c_j * q^(d-j) * (a + i*b)^j gives
-    poly(x_i) * D * q^d, which is compared with the value scaled alike.
+    acc_i = poly(x_i) * D * q^d, so poly(x_i) = ints[i]/den exactly when
+    acc_i * den = ints[i] * D * q^d.
     """
     q, (a, b) = common_denominator((start, step))
-    den, coeffs = common_denominator(poly.coefficients)
+    pden, coeffs = common_denominator(poly.coefficients)
     leading, *rest = [c * q**j for j, c in enumerate(reversed(coeffs))]  # c_(d-j) * q^j
-    scale = den * q**poly.degree
-    for i, value in enumerate(values):
+    scale = pden * q**poly.degree
+    for i, n in enumerate(ints):
         t = a + i * b
         acc = leading
         for w in rest:
             acc = acc * t + w
-        if acc * value.denominator != value.numerator * scale:
+        if acc * den != n * scale:
             return i
-    return len(values)
+    return len(ints)
 
 
 def fit(values, map: AffineMap, convention: str = "start_zero",
         min_witnesses: int = 2) -> FitResult:
-    """End-to-end fit: difference rows, degree, solve, recompose, verify."""
+    """End-to-end fit: difference rows, degree, solve, recompose, verify.
+
+    The samples are scaled to integers once, by common_denominator, and both
+    the degree scan and the verification read that form.  poly_in_x is checked
+    against every sample and poly_in_g at its first d+1, which is as strong
+    as checking both everywhere (see the comment at the check); a failure
+    reports the first sample either polynomial misses.
+    """
     values = tuple(values)
     if len(values) < 2:
         raise DomainError("fit needs at least two sequence values")
@@ -141,7 +149,8 @@ def fit(values, map: AffineMap, convention: str = "start_zero",
     if shift is None:
         raise DomainError(f"unknown convention {convention!r}")
 
-    report, diagonal = scan_degree(values, min_witnesses=min_witnesses)
+    den, ints = common_denominator(values)
+    report, diagonal = scan_degree_scaled(den, ints, min_witnesses=min_witnesses)
     d = report.degree
 
     poly_in_g = (solve_start_one if shift else solve_start_zero)(diagonal, d)
@@ -149,8 +158,16 @@ def fit(values, map: AffineMap, convention: str = "start_zero",
     index_map = AffineMap(x0=map.x0 - shift * map.h, h=map.h)
     poly_in_x = compose_affine(poly_in_g, index_map)
 
-    i = min(first_mismatch(poly_in_g, values, Rational(shift), Rational(1)),
-            first_mismatch(poly_in_x, values, map.x0, map.h))
+    # poly_in_g is checked at g = s..s+d only.  If both polynomials match
+    # there, poly_in_g(s+i) = a_i = poly_in_x(x_i) at d+1 distinct points, and
+    # both have at most d+1 coefficients (_back_substitute and compose_affine
+    # build d+1), so poly_in_g(g(x)) = poly_in_x(x) for every x: poly_in_g
+    # misses a sample exactly where poly_in_x does.  So i below is the
+    # min(g mismatch, x mismatch) that checking both at every sample gives.
+    # k = d+1 is a prefix that all matches, not a mismatch; a mismatch k <= d
+    # leaves only the samples before it to check in x.
+    k = first_mismatch(poly_in_g, den, ints[:d + 1], Rational(shift), Rational(1))
+    i = first_mismatch(poly_in_x, den, ints if k > d else ints[:k], map.x0, map.h)
     if i < len(values):
         raise InconsistentSequenceError(
             f"fitted polynomial does not reproduce sample {i} (x={map.x0 + i * map.h})"

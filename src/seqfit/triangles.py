@@ -18,6 +18,7 @@ from collections.abc import Iterator
 from enum import Enum
 from itertools import accumulate, islice
 from operator import mul
+from threading import Lock
 
 from .errors import DomainError, InternalConsistencyError
 from .numeric import binomial
@@ -51,7 +52,8 @@ def mwnt(n: int, k: int) -> int:
 
 
 def stirling_rows(max_n: int) -> Iterator[tuple[int, ...]]:
-    """Yield the rows S(n, 0..n) for n = 0..max_n by S(n,k) = k*S(n-1,k) + S(n-1,k-1)."""
+    """Yield the rows S(n, 0..n) for n = 0..max_n by S(n,k) = k*S(n-1,k) + S(n-1,k-1)
+    (Graham, Knuth and Patashnik, Concrete Mathematics, section 6.1)."""
     row = (1,)
     yield row
     for n in range(1, max_n + 1):
@@ -59,12 +61,41 @@ def stirling_rows(max_n: int) -> Iterator[tuple[int, ...]]:
         yield row
 
 
+# Rows S(n, 0..n) for n < STIRLING_CACHE_ROWS are kept once built: a fit of
+# degree d reads rows 0..d+s on every call, and they depend on nothing else.
+# 128 rows hold about 0.5 MiB of ints.  The cache only grows, under the lock,
+# and each growth rebuilds the rows and rebinds a new tuple, so a reader
+# without the lock sees either the old table or the grown one, never a
+# half-built one.
+STIRLING_CACHE_ROWS = 128
+_stirling_cache: tuple[tuple[int, ...], ...] = ()
+_stirling_cache_lock = Lock()
+
+
+def stirling_table(max_n: int) -> tuple[tuple[int, ...], ...]:
+    """The rows S(n, 0..n) for n = 0..max_n, as tuples: from the shared cache
+    below STIRLING_CACHE_ROWS, built fresh by stirling_rows above it."""
+    global _stirling_cache
+    table = _stirling_cache
+    if max_n < len(table):
+        return table[:max_n + 1]
+    if max_n >= STIRLING_CACHE_ROWS:
+        return tuple(stirling_rows(max_n))
+    with _stirling_cache_lock:
+        if max_n >= len(_stirling_cache):
+            _stirling_cache = tuple(stirling_rows(max_n))
+        return _stirling_cache[:max_n + 1]
+
+
 def stirling2(n: int, k: int) -> int:
-    """S(n, k) via the recurrence S(n,k) = k*S(n-1,k) + S(n-1,k-1)."""
+    """S(n, k) via the recurrence S(n,k) = k*S(n-1,k) + S(n-1,k-1), read from
+    the shared cache of stirling_table for n < STIRLING_CACHE_ROWS."""
     if n < 0 or k < 0:
         raise DomainError("stirling2 requires nonnegative arguments")
     if k > n:
         return 0
+    if n < STIRLING_CACHE_ROWS:
+        return stirling_table(n)[n][k]
     return next(islice(stirling_rows(n), n, None))[k]
 
 

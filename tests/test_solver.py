@@ -16,7 +16,9 @@ from seqfit import (
     solve_start_one,
     solve_start_zero,
 )
-from seqfit.errors import DomainError
+from seqfit import solver
+from seqfit.errors import DomainError, InconsistentSequenceError
+from seqfit.numeric import common_denominator
 from seqfit.oracle import vandermonde_fit
 from seqfit.solver import first_mismatch
 
@@ -182,11 +184,12 @@ class TestFirstMismatch:
         rng = random.Random(1806)
         for _ in range(200):
             p, x0, h, samples = self.random_case(rng)
-            assert first_mismatch(p, samples, x0, h) == len(samples)
+            scaled = common_denominator(samples)
+            assert first_mismatch(p, *scaled, x0, h) == len(samples)
             for convention, first_index in (("start_zero", 0), ("start_one", 1)):
                 result = fit(samples, AffineMap(x0, h), convention)
-                assert first_mismatch(result.poly_in_x, samples, x0, h) == len(samples)
-                assert first_mismatch(result.poly_in_g, samples, Fraction(first_index),
+                assert first_mismatch(result.poly_in_x, *scaled, x0, h) == len(samples)
+                assert first_mismatch(result.poly_in_g, *scaled, Fraction(first_index),
                                       Fraction(1)) == len(samples)
 
     def test_rejects_a_sample_off_by_one_over_q(self):
@@ -197,7 +200,7 @@ class TestFirstMismatch:
             for i in (0, len(samples) // 2, len(samples) - 1):
                 perturbed = list(samples)
                 perturbed[i] += Fraction(rng.choice((1, -1)), q)
-                assert first_mismatch(p, perturbed, x0, h) == i
+                assert first_mismatch(p, *common_denominator(perturbed), x0, h) == i
 
     def test_agrees_with_rational_evaluation(self):
         rng = random.Random(4300)
@@ -205,8 +208,113 @@ class TestFirstMismatch:
             p, x0, h, samples = self.random_case(rng)
             values = [v if rng.random() < 0.8 else random_rational(rng) for v in samples]
             expected = next((i for i, v in enumerate(values) if p(x0 + i * h) != v), len(values))
-            assert first_mismatch(p, values, x0, h) == expected
+            assert first_mismatch(p, *common_denominator(values), x0, h) == expected
 
+
+def vanishing(roots, scale):
+    """Coefficients of scale * prod_r (t - r): zero at every root, degree len(roots)."""
+    coeffs = [Fraction(scale)]
+    for r in roots:
+        coeffs = [prev - r * cur for cur, prev in zip(coeffs + [0], [0] + coeffs)]
+    return coeffs
+
+
+def plus(p, coeffs):
+    """p plus the polynomial with coefficients coeffs, no more of them than p has."""
+    extra = list(coeffs) + [0] * (len(p.coefficients) - len(coeffs))
+    return Polynomial(coefficients=tuple(c + e for c, e in zip(p.coefficients, extra, strict=True)))
+
+
+def off_at(k):
+    """Corruption: coefficient k off by 1/7."""
+    return lambda p, roots: plus(p, [0] * k + [Fraction(1, 7)])
+
+
+def agreeing_at(p, roots):
+    """Corruption: + (1/7) * prod_r (t - r), which leaves p unchanged at the roots."""
+    return plus(p, vanishing(roots, Fraction(1, 7)))
+
+
+class TestVerification:
+    """fit() rejects a poly_in_g or a poly_in_x that misses a sample, whichever
+    coefficient is wrong, and reports the first sample either one misses."""
+
+    TRUE_X = (Fraction(2, 3), Fraction(-1), Fraction(0), Fraction(5, 2), Fraction(3))  # degree 4
+    GRIDS = {"integer": (Fraction(0), Fraction(1)), "3.3/0.1": (Fraction(33, 10), Fraction(1, 10))}
+    M = 12
+
+    def run(self, monkeypatch, convention, grid, corrupt_g=None, corrupt_x=None):
+        """fit() with its solve (poly_in_g) and its composition (poly_in_x)
+        replaced by the true polynomial, or by corrupt_*(true, roots), where
+        roots are the d points the corruption may agree at.  Composition always
+        starts from the true poly_in_g, so a corrupted poly_in_g is seen only
+        by its own check.  Asserts that fit() reports the first sample either
+        polynomial misses, found by rational evaluation at every sample, and
+        returns that index."""
+        x0, h = self.GRIDS[grid]
+        shift = {"start_zero": 0, "start_one": 1}[convention]
+        values = [Polynomial(coefficients=self.TRUE_X)(x0 + i * h) for i in range(self.M)]
+        name = f"solve_{convention}"
+        real_solve = {"start_zero": solve_start_zero, "start_one": solve_start_one}[convention]
+        used = {}
+
+        def solve(diagonal, d):
+            used["true_g"] = g = real_solve(diagonal, d)
+            used["g"] = corrupt_g(g, [shift + i for i in range(d)]) if corrupt_g else g
+            return used["g"]
+
+        def compose(poly_in_g, index_map):
+            x = compose_affine(used["true_g"], index_map)
+            used["x"] = corrupt_x(x, [x0 + i * h for i in range(x.degree)]) if corrupt_x else x
+            return used["x"]
+
+        monkeypatch.setattr(solver, name, solve)
+        monkeypatch.setattr(solver, "compose_affine", compose)
+        with pytest.raises(InconsistentSequenceError) as raised:
+            fit(values, AffineMap(x0, h), convention)
+        g, x = used["g"], used["x"]
+        assert len(g.coefficients) == len(x.coefficients) == len(self.TRUE_X)
+        expected = next(i for i, v in enumerate(values)
+                        if g(Fraction(shift + i)) != v or x(x0 + i * h) != v)
+        assert str(raised.value) == \
+            f"fitted polynomial does not reproduce sample {expected} (x={x0 + expected * h})"
+        return expected
+
+    @pytest.mark.parametrize("grid", list(GRIDS))
+    @pytest.mark.parametrize("convention", ["start_zero", "start_one"])
+    @pytest.mark.parametrize("k", range(5))
+    def test_any_wrong_coefficient_of_poly_in_g_is_rejected(self, monkeypatch, convention, grid, k):
+        self.run(monkeypatch, convention, grid, corrupt_g=off_at(k))
+
+    @pytest.mark.parametrize("grid", list(GRIDS))
+    @pytest.mark.parametrize("convention", ["start_zero", "start_one"])
+    @pytest.mark.parametrize("k", range(5))
+    def test_any_wrong_coefficient_of_poly_in_x_is_rejected(self, monkeypatch, convention, grid, k):
+        self.run(monkeypatch, convention, grid, corrupt_x=off_at(k))
+
+    @pytest.mark.parametrize("grid", list(GRIDS))
+    @pytest.mark.parametrize("convention", ["start_zero", "start_one"])
+    def test_poly_in_g_right_at_the_first_d_samples_is_rejected_at_sample_d(
+            self, monkeypatch, convention, grid):
+        assert self.run(monkeypatch, convention, grid, corrupt_g=agreeing_at) == 4
+
+    @pytest.mark.parametrize("grid", list(GRIDS))
+    @pytest.mark.parametrize("convention", ["start_zero", "start_one"])
+    def test_the_first_miss_of_either_polynomial_is_reported(self, monkeypatch, convention, grid):
+        # one polynomial misses from sample d on, the other from sample 0 or 1
+        assert self.run(monkeypatch, convention, grid,
+                        corrupt_g=agreeing_at, corrupt_x=off_at(2)) <= 1
+        assert self.run(monkeypatch, convention, grid,
+                        corrupt_g=off_at(2), corrupt_x=agreeing_at) <= 1
+
+    @pytest.mark.parametrize("convention", ["start_zero", "start_one"])
+    def test_many_more_samples_than_coefficients_fit(self, convention):
+        p = poly(Fraction(-7, 4), 0, 3, Fraction(1, 9))
+        x0, h = Fraction(-5, 3), Fraction(2, 7)
+        values = [p(x0 + i * h) for i in range(60)]
+        result = fit(values, AffineMap(x0, h), convention)
+        assert result.degree_report.degree == 3
+        assert result.poly_in_x == p
 
 # Per-cell back-substitution straight from the triangle definitions, with the
 # pivots AWNT(k,k) = k! and MWNT(k,k) = (k-1)!: the reference for the solver's

@@ -1,5 +1,9 @@
 import json
+import random
+import sys
+import threading
 from functools import cache
+from itertools import islice
 from math import factorial
 
 import pytest
@@ -64,6 +68,50 @@ class TestStirling2:
     def test_zero_cases(self):
         assert stirling2(3, 0) == 0
         assert stirling2(2, 5) == 0
+
+
+
+class TestStirlingCache:
+    ORDER = (5, 90, 3, 130, 60, 127, 0, 128, 11)  # shuffled, across the cap of 128 rows
+
+    @pytest.fixture(autouse=True)
+    def empty_cache(self, monkeypatch):
+        monkeypatch.setattr(triangles, "_stirling_cache", ())
+
+    def test_rows_match_fresh_rows_in_any_order_across_the_cap(self):
+        for n in self.ORDER:
+            assert triangles.stirling_table(n) == tuple(triangles.stirling_rows(n)), n
+            assert stirling2(n, n // 3) == next(islice(triangles.stirling_rows(n), n, None))[n // 3]
+            assert len(triangles._stirling_cache) <= triangles.STIRLING_CACHE_ROWS
+        assert len(triangles._stirling_cache) == triangles.STIRLING_CACHE_ROWS
+
+    def test_rows_are_tuples(self):
+        for n in (7, 130):
+            table = triangles.stirling_table(n)
+            assert type(table) is tuple and all(type(row) is tuple for row in table)
+
+    def test_threads_growing_it_at_once_read_whole_rows(self):
+        fresh = tuple(triangles.stirling_rows(127))
+        errors = []
+
+        def reader(seed):
+            for n in random.Random(seed).sample(range(128), 40):
+                if triangles.stirling_table(n) != fresh[:n + 1]:
+                    errors.append(n)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=reader, args=(seed,)) for seed in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert triangles._stirling_cache == fresh
 
 
 class TestPrintedTables:
