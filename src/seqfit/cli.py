@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import json
 import sys
-from math import factorial
 
 import click
 
@@ -17,9 +16,9 @@ from .difftable import build_table, detect_degree
 from .errors import BFileError, DomainError, ScalarParseError, SeqfitError
 from .numeric import Rational, format_scalar, parse_scalar
 from .oeis import crosscheck_triangle, fetch_bfile
-from .oracle import efdt_sum, vandermonde_fit
+from .oracle import identity_checks
 from .solver import AffineMap, fit
-from .triangles import TriangleKind, awnt, build_triangle, mwnt, stirling2
+from .triangles import TriangleKind, build_triangle
 
 _CONVENTIONS = {"auto": "start_zero", "start-zero": "start_zero", "start-one": "start_one"}
 
@@ -187,13 +186,11 @@ def verify_cmd(self_check, oeis_id, online, cells):
     """Run self-verification suites and OEIS cross-checks."""
     if not self_check and oeis_id is None:
         raise click.UsageError("nothing to verify: pass --self and/or --oeis")
-    failures = 0
-    if self_check:
-        failures += _run_self_checks()
-    if oeis_id is not None:
-        kind = {"A019538": TriangleKind.AWNT, "A028246": TriangleKind.MWNT}.get(oeis_id)
-        if kind is None:
-            raise click.UsageError(f"no triangle mapping for {oeis_id}")
+    kind = {"A019538": TriangleKind.AWNT, "A028246": TriangleKind.MWNT}.get(oeis_id)
+    if oeis_id is not None and kind is None:
+        raise click.UsageError(f"no triangle mapping for {oeis_id}")
+    failures = _run_self_checks() if self_check else 0
+    if kind is not None:
         try:
             bfile = fetch_bfile(oeis_id, source="network" if online else "fixture")
             report = crosscheck_triangle(kind, bfile, cells)
@@ -210,60 +207,11 @@ def verify_cmd(self_check, oeis_id, online, cells):
 
 
 def _run_self_checks() -> int:
-    """Identity suites across triangles, diagonals, and the EFDT sums."""
-    import random
-
-    rng = random.Random(19538)
+    """Print PASS or FAIL for each identity of `oracle.identity_checks`; return the failures."""
     failures = 0
-
-    def check(name, ok):
-        nonlocal failures
+    for name, ok in identity_checks():
         click.echo(f"{'PASS' if ok else 'FAIL'}: {name}")
-        if not ok:
-            failures += 1
-
-    check("awnt = k! * stirling2 and mwnt = (k-1)! * stirling2, n,k <= 12",
-          all(awnt(n, k) == factorial(k) * stirling2(n, k)
-              and mwnt(n, k) == factorial(k - 1) * stirling2(n, k)
-              for n in range(1, 13) for k in range(1, n + 1)))
-    check("awnt = k * mwnt, n,k <= 12",
-          all(awnt(n, k) == k * mwnt(n, k)
-              for n in range(1, 13) for k in range(1, n + 1)))
-    check("right-diagonal factorials and zeros above the diagonal",
-          all(awnt(k, k) == factorial(k) and mwnt(k, k) == factorial(k - 1)
-              for k in range(1, 13))
-          and all(awnt(n, k) == 0 for k in range(1, 13) for n in range(1, k)))
-    check("shifted-binomial power sum equals mwnt(q+1, k)",
-          all(sum((-1) ** (k - i) * factorial(k - 1)
-                  // (factorial(i - 1) * factorial(k - i)) * i**q
-                  for i in range(1, k + 1)) == mwnt(q + 1, k)
-              for q in range(0, 11) for k in range(1, 11)))
-
-    def random_scalar():
-        return Rational(rng.randint(-20, 20), rng.randint(1, 9))
-
-    efdt_ok = True
-    for _ in range(20):
-        z, b = random_scalar(), random_scalar()
-        for k in range(1, 11):
-            for n in range(0, k):
-                efdt_ok &= efdt_sum(z, b, n, k) == 0
-            efdt_ok &= efdt_sum(z, b, k, k) == b**k * factorial(k)
-    check("finite-difference sums: 0 below the diagonal, b^k * k! on it", efdt_ok)
-
-    agree = True
-    for _ in range(25):
-        d = rng.randint(0, 6)
-        coeffs = [Rational(rng.randint(-9, 9)) for _ in range(d + 1)]
-        if coeffs[-1] == 0:
-            coeffs[-1] = Rational(1)
-        points = [(Rational(x), sum(c * x**j for j, c in enumerate(coeffs)))
-                  for x in range(d + 3)]
-        recovered = fit([y for _, y in points], AffineMap(Rational(0), Rational(1)))
-        oracle = vandermonde_fit(points)
-        agree &= recovered.poly_in_x.coefficients == oracle.coefficients
-    check("fit agrees with the Vandermonde oracle on random polynomials", agree)
-
+        failures += not ok
     return failures
 
 

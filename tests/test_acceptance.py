@@ -7,7 +7,6 @@ the criterion names one.
 import random
 import time
 from fractions import Fraction
-from math import factorial
 
 import pytest
 
@@ -21,11 +20,10 @@ from seqfit import (
     fit,
     mwnt,
     parse_scalar,
-    stirling2,
 )
 from seqfit.difftable import diagonal_direct
 from seqfit.oeis import crosscheck_triangle, fetch_bfile
-from seqfit.oracle import efdt_sum, vandermonde_fit
+from seqfit.oracle import identity_checks, vandermonde_fit
 
 from conftest import (
     AWNT_TABLE,
@@ -80,26 +78,12 @@ def test_triangle_fidelity_all_162_cells():
 
 
 def test_identity_suite():
+    # the same (name, ok) pairs that `seqfit verify --self` prints
     start = time.perf_counter()
-    for n in range(1, 13):
-        for k in range(1, n + 1):
-            s = stirling2(n, k)
-            assert awnt(n, k) == factorial(k) * s
-            assert mwnt(n, k) == factorial(k - 1) * s
-            assert awnt(n, k) == k * mwnt(n, k)
-    for q in range(0, 11):
-        for k in range(1, 11):
-            total = sum((-1) ** (k - i) * binomial(k - 1, i - 1) * i**q
-                        for i in range(1, k + 1))
-            assert total == mwnt(q + 1, k)
-    rng = random.Random(28246)
-    for _ in range(20):
-        z = Fraction(rng.randint(-50, 50), rng.randint(1, 9))
-        b = Fraction(rng.randint(-50, 50), rng.randint(1, 9))
-        for k in range(1, 9):
-            for n in range(0, k):
-                assert efdt_sum(z, b, n, k) == 0
-            assert efdt_sum(z, b, k, k) == b**k * factorial(k)
+    checks = list(identity_checks())
+    assert len(checks) == 6
+    for name, ok in checks:
+        assert ok, name
     assert time.perf_counter() - start < 5.0
 
 

@@ -4,7 +4,7 @@ import sys
 import pytest
 from click.testing import CliRunner
 
-from seqfit import cli
+from seqfit import cli, oracle
 from seqfit.cli import main
 from seqfit.oeis import BFile
 
@@ -13,6 +13,16 @@ from conftest import SEQ_DECIMAL, SEQ_START_ONE, SEQ_START_ZERO
 
 def run(args, input=None):
     return CliRunner().invoke(main, args, input=input)
+
+
+SELF_CHECK_STDOUT = """\
+PASS: awnt = k! * stirling2 and mwnt = (k-1)! * stirling2, n,k <= 12
+PASS: awnt = k * mwnt, n,k <= 12
+PASS: right-diagonal factorials and zeros above the diagonal
+PASS: shifted-binomial power sum equals mwnt(q+1, k)
+PASS: finite-difference sums: 0 below the diagonal, b^k * k! on it
+PASS: fit agrees with the Vandermonde oracle on random polynomials
+"""
 
 
 def write_sequence(tmp_path, values, sep="\n"):
@@ -187,8 +197,36 @@ class TestVerifyCommand:
     def test_self_checks_pass(self):
         result = run(["verify", "--self"])
         assert result.exit_code == 0
-        assert "FAIL" not in result.output
-        assert result.output.count("PASS") >= 6
+        assert result.stdout == SELF_CHECK_STDOUT
+        assert result.stderr == ""
+
+    @pytest.mark.parametrize("function, cell, failing", [
+        ("stirling2", (7, 3), {0}),
+        ("mwnt", (5, 3), {0, 1, 3}),
+        ("awnt", (4, 4), {0, 1, 2}),
+        ("efdt_sum", (3, 3), {4}),
+    ])
+    def test_a_wrong_cell_fails_exactly_the_identities_that_read_it(
+            self, monkeypatch, function, cell, failing):
+        real = getattr(oracle, function)
+
+        def off_by_one(*args):
+            return real(*args) + (args[-2:] == cell)
+
+        monkeypatch.setattr(oracle, function, off_by_one)
+        names = [line.split(": ", 1)[1] for line in SELF_CHECK_STDOUT.splitlines()]
+        expected = [(name, i not in failing) for i, name in enumerate(names)]
+        assert list(oracle.identity_checks()) == expected
+        result = run(["verify", "--self"])
+        assert result.exit_code == 1
+        assert result.stdout == "".join(
+            f"{'PASS' if ok else 'FAIL'}: {name}\n" for name, ok in expected)
+
+    def test_self_with_an_unknown_sequence_prints_nothing(self):
+        result = run(["verify", "--self", "--oeis", "A000001"])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr.endswith("Error: no triangle mapping for A000001\n")
 
     def test_oeis_fixture_crosscheck(self):
         result = run(["verify", "--oeis", "A019538", "--cells", "45"])

@@ -34,6 +34,12 @@ class TestVandermondeFit:
         assert vandermonde_fit(points).coefficients == (1, 2, 1)
 
 
+def fraction_efdt_sum(z, b, n, k):
+    # the sum term by term in Fraction arithmetic, as a reference for efdt_sum's integer form
+    return sum((-1) ** i * binomial(k, i) * (Fraction(z) - Fraction(b) * i) ** n
+               for i in range(k + 1))
+
+
 class TestEfdtSum:
     def test_zero_below_diagonal(self):
         assert efdt_sum(Fraction(17, 3), Fraction(-4), 3, 5) == 0
@@ -55,6 +61,28 @@ class TestEfdtSum:
                 for n in range(0, k):
                     assert efdt_sum(z, b, n, k) == 0
                 assert efdt_sum(z, b, k, k) == b**k * factorial(k)
+
+    @pytest.mark.parametrize("z, b", [
+        (Fraction(-7, 3), Fraction(5, 4)),  # different denominators
+        (Fraction(9, 2), Fraction(0)),  # b = 0: every term is z^n
+        (Fraction(6, 5), Fraction(2, 5)),  # z = 3b: the i = 3 term is 0^n, and 0^0 = 1
+        (Fraction(0), Fraction(-1, 7)),  # z = 0b
+        (4, -3),  # plain ints
+    ])
+    def test_matches_a_direct_fraction_sum(self, z, b):
+        for k in range(0, 6):
+            for n in range(0, k + 3):
+                assert efdt_sum(z, b, n, k) == fraction_efdt_sum(z, b, n, k), (n, k)
+                assert type(efdt_sum(z, b, n, k)) is Fraction
+
+    def test_matches_a_direct_fraction_sum_on_random_scalars(self):
+        rng = random.Random(2018)
+        for _ in range(50):
+            z = Fraction(rng.randint(-50, 50), rng.randint(1, 12))
+            b = Fraction(rng.randint(-50, 50), rng.randint(1, 12))
+            k = rng.randint(0, 10)
+            for n in range(0, k + 3):
+                assert efdt_sum(z, b, n, k) == fraction_efdt_sum(z, b, n, k), (z, b, n, k)
 
     def test_awnt_derivation_chain(self):
         for n in range(1, 10):
