@@ -6,19 +6,17 @@ stderr; results go to stdout.
 """
 from __future__ import annotations
 
-import json
 import sys
+from collections.abc import Iterable, Iterator
 
 import click
 
 from . import __version__
-from .difftable import build_table, detect_degree
+from .difftable import _difference_rows, scan_degree_scaled
 from .errors import BFileError, DomainError, ScalarParseError, SeqfitError
-from .numeric import Rational, format_scalar, parse_scalar
-from .oeis import crosscheck_triangle, fetch_bfile
-from .oracle import identity_checks
+from .numeric import Rational, common_denominator, format_scalar, parse_scalar
 from .solver import AffineMap, fit
-from .triangles import TriangleKind, build_triangle
+from .triangles import TriangleKind, last_row, triangle_rows
 
 _CONVENTIONS = {"auto": "start_zero", "start-zero": "start_zero", "start-one": "start_one"}
 
@@ -50,6 +48,12 @@ def _read_values(input_file) -> list[Rational]:
 def _fail(stage: str, exc: Exception):
     click.echo(f"error ({stage}): {exc}", err=True)
     sys.exit(1)
+
+
+def _json_list(items: Iterable[str], indent: str) -> str:
+    """items, each a JSON value already, as json.dumps(indent=2) lays out a
+    non-empty list whose first line is indented by indent."""
+    return f"[\n{indent}  " + f",\n{indent}  ".join(items) + f"\n{indent}]"
 
 
 @click.group()
@@ -100,6 +104,8 @@ def fit_cmd(input_file, start, step, convention, fmt, min_witnesses):
 
 def _format_fit(result, fmt: str) -> str:
     if fmt == "json":
+        import json
+
         return json.dumps({
             "degree": result.degree_report.degree,
             "basis_g": {
@@ -126,27 +132,33 @@ def _format_fit(result, fmt: str) -> str:
 def difftable_cmd(input_file, fmt, min_witnesses):
     """Print the difference table of the sequence in INPUT_FILE (or stdin)."""
     values = _read_values(input_file)
-    table = build_table(values)
+    den, ints = common_denominator(values)
     degree = None
     try:
-        degree = detect_degree(table, min_witnesses=min_witnesses).degree
+        degree = scan_degree_scaled(den, ints, min_witnesses)[0].degree
     except SeqfitError:
         pass  # table output is still useful without a detected degree
     try:
-        click.echo(_format_table(table, degree, fmt))
+        click.echo(_format_table(den, ints, degree, fmt))
     except DomainError as exc:
         _fail("format", exc)
 
 
-def _format_table(table, degree, fmt: str) -> str:
+def _format_table(den: int, ints: list[int], degree, fmt: str) -> str:
+    """The difference table of ints over den, each integer row formatted as it
+    is made, so only one row of cells is live beside the text."""
     if fmt == "json":
-        return json.dumps({
-            "rows": [[format_scalar(v) for v in row] for row in table.rows],
-            "main_diagonal": [format_scalar(v) for v in table.main_diagonal],
-            "degree": degree,
-        }, indent=2)
-    lines = [f"row {r}: " + "  ".join(format_scalar(v, prefer_decimal=True) for v in row)
-             for r, row in enumerate(table.rows)]
+        rows, diagonal = [], []
+        for row in _difference_rows(ints):
+            cells = [f'"{format_scalar(Rational(n, den))}"' for n in row]
+            diagonal.append(cells[0])
+            rows.append(_json_list(cells, "    "))
+        return (f'{{\n  "rows": {_json_list(rows, "  ")},\n'
+                f'  "main_diagonal": {_json_list(diagonal, "  ")},\n'
+                f'  "degree": {"null" if degree is None else degree}\n}}')
+    lines = [f"row {r}: " + "  ".join(format_scalar(Rational(n, den), prefer_decimal=True)
+                                      for n in row)
+             for r, row in enumerate(_difference_rows(ints))]
     lines.append(f"degree: {degree}" if degree is not None
                  else "degree: not polynomial within observed window")
     return "\n".join(lines)
@@ -158,23 +170,28 @@ def _format_table(table, degree, fmt: str) -> str:
 @click.option("--format", "fmt", type=click.Choice(["table", "json", "bfile"]), default="table")
 def triangle_cmd(kind, rows, fmt):
     """Print a number triangle with the given number of rows."""
-    table = build_triangle(TriangleKind(kind), rows)
-    try:
-        click.echo(_format_triangle(kind, table, fmt))
+    kind = TriangleKind(kind)
+    try:  # no column shrinks as n grows, so if the widest cell prints, every cell does
+        format_scalar(max(last_row(kind, rows)))
     except DomainError as exc:
         _fail("format", exc)
+    for text in _triangle_text(kind, triangle_rows(kind, rows), fmt):
+        click.echo(text, nl=False)
 
 
-def _format_triangle(kind: str, rows, fmt: str) -> str:
-    try:
-        if fmt == "json":
-            return json.dumps({"kind": kind, "rows": [list(row) for row in rows]}, indent=2)
-        if fmt == "bfile":
-            cells = (value for row in rows for value in row)
-            return "\n".join(f"{index} {value}" for index, value in enumerate(cells, start=1))
-        return "\n".join("  ".join(str(v) for v in row) for row in rows)
-    except ValueError as exc:  # only CPython's int/str digit limit
-        raise DomainError(f"scalar too large to print: {exc}") from None
+def _triangle_text(kind: TriangleKind, rows, fmt: str) -> Iterator[str]:
+    """The output of `seqfit triangle`, one row's text at a time."""
+    if fmt == "json":
+        yield f'{{\n  "kind": "{kind.value}",\n  "rows": [\n    '
+        for n, row in enumerate(rows):
+            yield (",\n    " if n else "") + _json_list(map(str, row), "    ")
+        yield "\n  ]\n}\n"
+    elif fmt == "bfile":
+        for n, row in enumerate(rows):
+            yield "".join(f"{i} {v}\n" for i, v in enumerate(row, start=n * (n + 1) // 2 + 1))
+    else:
+        for row in rows:
+            yield "  ".join(map(str, row)) + "\n"
 
 
 @main.command("verify")
@@ -191,6 +208,8 @@ def verify_cmd(self_check, oeis_id, online, cells):
         raise click.UsageError(f"no triangle mapping for {oeis_id}")
     failures = _run_self_checks() if self_check else 0
     if kind is not None:
+        from .oeis import crosscheck_triangle, fetch_bfile
+
         try:
             bfile = fetch_bfile(oeis_id, source="network" if online else "fixture")
             report = crosscheck_triangle(kind, bfile, cells)
@@ -208,6 +227,8 @@ def verify_cmd(self_check, oeis_id, online, cells):
 
 def _run_self_checks() -> int:
     """Print PASS or FAIL for each identity of `oracle.identity_checks`; return the failures."""
+    from .oracle import identity_checks
+
     failures = 0
     for name, ok in identity_checks():
         click.echo(f"{'PASS' if ok else 'FAIL'}: {name}")

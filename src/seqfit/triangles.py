@@ -99,20 +99,49 @@ def stirling2(n: int, k: int) -> int:
     return next(islice(stirling_rows(n), n, None))[k]
 
 
-def build_triangle(kind: TriangleKind, max_n: int) -> tuple[tuple[int, ...], ...]:
-    """Rows 1..max_n (rows[n-1] holds k = 1..n); checks the last against the signed power sum."""
+def _weights(kind: TriangleKind, max_n: int) -> tuple[list[int], list[int]]:
+    """(0!..max_n!, entry / S(n, k) for k = 1..max_n): k!, (k-1)! or 1 by kind."""
     if max_n < 1:
         raise DomainError(f"max_n must be >= 1, got {max_n}")
-    factorials = list(accumulate(range(1, max_n + 1), mul, initial=1))  # 0!..max_n!
-    weights = {  # entry / S(n,k) for k = 1..max_n
+    factorials = list(accumulate(range(1, max_n + 1), mul, initial=1))
+    return factorials, {
         TriangleKind.MWNT: factorials[:-1],
         TriangleKind.AWNT: factorials[1:],
         TriangleKind.STIRLING2: [1] * max_n,
     }[kind]
-    rows = tuple(tuple(map(mul, weights, row[1:]))
-                 for row in islice(stirling_rows(max_n), 1, None))
-    for k, value in enumerate(rows[-1], start=1):  # k! * entry = weight * (k! * S(n,k))
-        if factorials[k] * value != weights[k - 1] * _signed_power_sum(max_n, k):
+
+
+def _scaled_rows(kind: TriangleKind, max_n: int, first: int) -> Iterator[tuple[int, ...]]:
+    weights = _weights(kind, max_n)[1]
+    return (tuple(map(mul, weights, row[1:])) for row in islice(stirling_rows(max_n), first, None))
+
+
+def _checked(kind: TriangleKind, row: tuple[int, ...]) -> tuple[int, ...]:
+    """row, the last of its triangle, once checked against the signed power sum."""
+    n = len(row)
+    factorials, weights = _weights(kind, n)
+    for k, value in enumerate(row, start=1):  # k! * entry = weight * (k! * S(n,k))
+        if factorials[k] * value != weights[k - 1] * _signed_power_sum(n, k):
             raise InternalConsistencyError(
-                f"{kind.value} self-check failed at (n={max_n}, k={k}): {value}")
+                f"{kind.value} self-check failed at (n={n}, k={k}): {value}")
+    return row
+
+
+def triangle_rows(kind: TriangleKind, max_n: int) -> Iterator[tuple[int, ...]]:
+    """Rows 1..max_n (row n holds k = 1..n) one at a time, each scaled from a
+    row of stirling_rows, so O(max_n) cells are held; unchecked (see last_row)."""
+    return _scaled_rows(kind, max_n, 1)
+
+
+def last_row(kind: TriangleKind, max_n: int) -> tuple[int, ...]:
+    """Row max_n, checked against the signed power sum, holding one Stirling row
+    at a time.  Every column is non-decreasing in n (T(n,k) = k*T(n-1,k) + ...),
+    so this row holds the widest cell of the triangle."""
+    return _checked(kind, next(_scaled_rows(kind, max_n, max_n)))
+
+
+def build_triangle(kind: TriangleKind, max_n: int) -> tuple[tuple[int, ...], ...]:
+    """Rows 1..max_n (rows[n-1] holds k = 1..n); checks the last against the signed power sum."""
+    rows = tuple(triangle_rows(kind, max_n))
+    _checked(kind, rows[-1])
     return rows

@@ -1,11 +1,19 @@
 import json
+import os
+import re
+import subprocess
 import sys
+import tracemalloc
+from contextlib import redirect_stdout
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from seqfit import cli, oracle
+from seqfit import build_table, detect_degree, format_scalar, oeis, oracle, parse_scalar
 from seqfit.cli import main
+from seqfit.errors import SeqfitError
 from seqfit.oeis import BFile
 
 from conftest import SEQ_DECIMAL, SEQ_START_ONE, SEQ_START_ZERO
@@ -134,7 +142,71 @@ def test_non_utf8_input_is_usage_error(command, tmp_path):
         assert isinstance(result.exception, SystemExit)
 
 
+def difftable_reference(text, fmt, min_witnesses):
+    """`seqfit difftable` output rebuilt from build_table, detect_degree and json.dumps."""
+    table = build_table([parse_scalar(t) for t in text.split()])
+    try:
+        degree = detect_degree(table, min_witnesses=min_witnesses).degree
+    except SeqfitError:
+        degree = None
+    if fmt == "json":
+        return json.dumps({
+            "rows": [[format_scalar(v) for v in row] for row in table.rows],
+            "main_diagonal": [format_scalar(v) for v in table.main_diagonal],
+            "degree": degree,
+        }, indent=2) + "\n"
+    lines = [f"row {r}: " + "  ".join(format_scalar(v, prefer_decimal=True) for v in row)
+             for r, row in enumerate(table.rows)]
+    lines.append(f"degree: {degree}" if degree is not None
+                 else "degree: not polynomial within observed window")
+    return "\n".join(lines) + "\n"
+
+
+DIFFTABLE_INPUTS = {
+    "integer": " ".join(map(str, SEQ_START_ZERO)),
+    "fractional": " ".join(f"{i * i - 3}/7" for i in range(9)) + " 1/3",
+    "fractional polynomial": " ".join(f"{i ** 3}/6" for i in range(-3, 9)),
+    "decimal": " ".join(SEQ_DECIMAL),
+    "decimal and fraction": "0.5 -1.25 3/8 0.0036 2 -7/3",
+    "negative": "-5 -3 -1 1 3 5 7",
+    "single value": "-7/3",
+    "non-polynomial": "1 2 4 8 16 32 64 128",
+    "constant": "3 3 3 3",
+}
+
+
 class TestDifftableCommand:
+    @pytest.mark.parametrize("min_witnesses", [2, 5])
+    @pytest.mark.parametrize("fmt", ["table", "json"])
+    @pytest.mark.parametrize("name", list(DIFFTABLE_INPUTS))
+    def test_output_is_byte_identical_to_the_reference(self, name, fmt, min_witnesses):
+        text = DIFFTABLE_INPUTS[name]
+        result = run(["difftable", f"--format={fmt}", f"--min-witnesses={min_witnesses}"],
+                     input=text.replace(" ", "\n"))
+        assert result.exit_code == 0
+        assert result.stdout == difftable_reference(text, fmt, min_witnesses)
+        assert result.stderr == ""
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                        reason="interpreter has no int/str digit limit")
+    @pytest.mark.parametrize("fmt", ["table", "json"])
+    @pytest.mark.parametrize("denominator", ["", "/3"])
+    def test_deep_rows_past_the_digit_limit_are_a_format_error(self, fmt, denominator):
+        # every input has 636 digits; alternating signs double the entries row by row,
+        # so rows past about the 15th have more than 640
+        values = "".join(f"{(-1) ** i * (i % 3 + 1) * 10**635:d}{denominator}\n" for i in range(40))
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            result = run(["difftable", f"--format={fmt}"], input=values)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert result.stderr.startswith("error (format): scalar too large to print")
+        assert "Traceback" not in result.output
+        assert isinstance(result.exception, SystemExit)
+
     def test_table_output(self):
         result = run(["difftable"], input="10\n49\n628\n4915\n")
         assert result.exit_code == 0
@@ -153,6 +225,43 @@ class TestDifftableCommand:
         result = run(["difftable"], input="1\n2\n4\n8\n16\n")
         assert result.exit_code == 0
         assert "not polynomial" in result.output
+
+
+def traced_run(args, tmp_path, stdin_text=None):
+    """(peak bytes traced, bytes printed) of one in-process run whose stdout is a file."""
+    if stdin_text is not None:
+        (tmp_path / "in.txt").write_text(stdin_text)
+        args = [*args, str(tmp_path / "in.txt")]
+    with open(tmp_path / "out.txt", "w") as out, redirect_stdout(out):
+        main.main(args, standalone_mode=False)  # warm: lazy imports and caches fill here
+        out.seek(0)
+        out.truncate()
+        tracemalloc.start()
+        try:
+            main.main(args, standalone_mode=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    return peak, os.path.getsize(tmp_path / "out.txt")
+
+
+class TestOutputMemory:
+    """Peak traced memory per byte printed: cells are formatted as rows are made,
+    so the peak is a few copies of the text, not a table of Fractions."""
+
+    @pytest.mark.parametrize("fmt", ["table", "json"])
+    def test_difftable_of_250_values(self, fmt, tmp_path):
+        values = "".join(f"{i ** 5 - 3 * i * i + 7}\n" for i in range(250))
+        peak, printed = traced_run(["difftable", f"--format={fmt}"], tmp_path, values)
+        assert printed > 100_000
+        assert peak < 6 * printed  # 17-21x when every cell was a Fraction first
+
+    @pytest.mark.parametrize("fmt", ["table", "json", "bfile"])
+    def test_triangle_of_200_rows(self, fmt, tmp_path):
+        peak, printed = traced_run(
+            ["triangle", "--kind=awnt", "--rows=200", f"--format={fmt}"], tmp_path)
+        assert printed > 4_000_000
+        assert peak < printed / 4  # 3.6x when the whole text was built first
 
 
 class TestTriangleCommand:
@@ -238,13 +347,13 @@ class TestVerifyCommand:
         assert result.exit_code == 0
 
     def test_oeis_bfile_with_an_index_gap_is_an_oeis_error(self, monkeypatch):
-        real = cli.fetch_bfile
+        real = oeis.fetch_bfile
 
         def gapped(sequence_id, source):
             bfile = real(sequence_id, source)
             return BFile(bfile.sequence_id, bfile.entries[:13] + bfile.entries[14:])
 
-        monkeypatch.setattr(cli, "fetch_bfile", gapped)
+        monkeypatch.setattr(oeis, "fetch_bfile", gapped)
         result = run(["verify", "--oeis", "A019538", "--cells", "45"])
         assert result.exit_code == 1
         assert result.stdout == ""
@@ -257,7 +366,82 @@ class TestVerifyCommand:
         assert run(["verify"]).exit_code == 2
 
 
+def test_import_cli_leaves_oeis_oracle_and_json_to_the_commands_that_use_them():
+    probe = ("import sys, seqfit.cli; "
+             "print(*(name in sys.modules for name in ('seqfit.oeis', 'seqfit.oracle', 'json')))")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
+    assert out.stdout == "False False False\n"
+
+
 def test_version_flag():
     result = run(["--version"])
     assert result.exit_code == 0
     assert "seqfit" in result.output
+
+
+# A small grammar of command lines and inputs for the fuzz below: valid and
+# broken scalars, odd grids, option values out of range, small --rows and
+# --cells, and bytes that are not UTF-8.  Valid values are drawn more often
+# than broken ones, and an option more often than not; --online is never drawn.
+broken_scalars = st.sampled_from(["", "x", "1/", "/3", "1/0", "1.2.3", "1e5", "--", "0x10",
+                                  "1_000", ".5", "5.", "+3", "½", "٣"])
+valid_scalars = st.one_of(
+    st.integers(-60, 60).map(str),
+    st.builds("{}/{}".format, st.integers(-60, 60), st.integers(1, 9)),
+    st.builds("{}.{}".format, st.integers(-60, 60), st.integers(0, 999)),
+)
+scalars = st.one_of(valid_scalars, valid_scalars, valid_scalars, broken_scalars)
+inputs = st.one_of(
+    *(st.builds(lambda tokens, sep: sep.join(tokens), st.lists(tokens, max_size=10),
+                st.sampled_from(["\n", ",", ", ", " ", "\n# note\n"]))
+      for tokens in (valid_scalars, valid_scalars, scalars)),
+    st.binary(max_size=12),
+)
+valid_counts = st.integers(1, 8).map(str)
+counts = st.one_of(valid_counts, valid_counts, st.integers(-1, 8).map(str), broken_scalars)
+
+
+def options(**choices):
+    """Each --name with a value drawn from its strategy, or, one time in three, left out."""
+    return st.tuples(*(st.one_of(pair, pair, st.none())
+                       for name, values in choices.items()
+                       for pair in [st.tuples(st.just("--" + name.replace("_", "-")), values)]))
+
+
+def choice(*valid):
+    return st.one_of(*[st.sampled_from(valid)] * 3, st.just("x"))
+
+
+command_lines = st.one_of(
+    st.tuples(st.just("fit"), options(
+        start=scalars, step=scalars, convention=choice("auto", "start-zero", "start-one"),
+        format=choice("text", "json"), min_witnesses=counts)),
+    st.tuples(st.just("difftable"), options(format=choice("table", "json"), min_witnesses=counts)),
+    st.tuples(st.just("triangle"), options(
+        kind=choice("awnt", "mwnt", "stirling2"), rows=counts,
+        format=choice("table", "json", "bfile"))),
+    st.tuples(st.just("verify"), options(
+        self=st.none(),  # a flag: the None after it is dropped
+        oeis=choice("A019538", "A028246", "A000001"),
+        cells=st.integers(-1, 120).map(str))),
+)
+
+REPORT_LINE = re.compile(r"(PASS|FAIL): |  first mismatch at ")
+
+
+@settings(max_examples=300, deadline=None)
+@given(command_lines, inputs,
+       st.sampled_from([[], [], ["-"], ["-"], ["no-such-file.txt"], ["--bogus"]]))
+def test_any_command_line_exits_0_1_or_2_without_a_traceback(command_line, stdin, extra):
+    command, drawn = command_line
+    args = [command, *(word for pair in drawn if pair for word in pair if word is not None)]
+    if command in ("fit", "difftable"):
+        args += extra
+    result = CliRunner().invoke(main, args, input=stdin)
+    assert result.exception is None or isinstance(result.exception, SystemExit), result.exception
+    assert result.exit_code in (0, 1, 2)
+    assert "Traceback" not in result.output
+    if result.exit_code == 2 or (result.exit_code == 1 and command != "verify"):
+        assert result.stdout == ""
+    elif result.exit_code == 1:
+        assert all(REPORT_LINE.match(line) for line in result.stdout.splitlines())

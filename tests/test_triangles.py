@@ -207,6 +207,11 @@ class TestBuildTriangleCells:
         monkeypatch.setattr(triangles, "stirling_rows", corrupted)
         with pytest.raises(InternalConsistencyError, match=r"\(n=6, k=3\)"):
             build_triangle(kind, 6)
+        with pytest.raises(InternalConsistencyError, match=r"\(n=6, k=3\)"):
+            triangles.last_row(kind, 6)
+        result = CliRunner().invoke(main, ["triangle", f"--kind={kind.value}", "--rows=6"])
+        assert result.exit_code != 0
+        assert result.stdout == ""  # the check runs before the first row prints
 
 
 class TestTriangleCommandBytes:
@@ -222,7 +227,7 @@ class TestTriangleCommandBytes:
             return "".join(f"{i} {value}\n" for i, value in enumerate(cells, start=1))
         return "".join("  ".join(str(v) for v in row) + "\n" for row in table)
 
-    @pytest.mark.parametrize("rows", [1, 25, 60])
+    @pytest.mark.parametrize("rows", [1, 7, 25, 40, 60])
     @pytest.mark.parametrize("fmt", ["table", "json", "bfile"])
     @pytest.mark.parametrize("kind", list(TriangleKind))
     def test_output_is_byte_identical(self, kind, fmt, rows):
