@@ -88,7 +88,8 @@ def _not_polynomial(min_witnesses: int, deepest: int) -> NotPolynomialError:
 
 def _first_constant_row(rows, min_witnesses: int):
     """Scan rows down to the shallowest constant one with >= min_witnesses
-    entries; return the leading entries of the rows scanned and that row."""
+    entries; return the leading entries of the rows scanned and that row,
+    or None in its place when no row is constant."""
     diagonal = []
     for row in rows:
         if len(row) < min_witnesses:
@@ -96,7 +97,15 @@ def _first_constant_row(rows, min_witnesses: int):
         diagonal.append(row[0])
         if row.count(row[0]) == len(row):
             return diagonal, row
-    raise _not_polynomial(min_witnesses, len(diagonal) - 1)
+    return diagonal, None
+
+
+def _scan(rows, min_witnesses: int):
+    """_first_constant_row, raising NotPolynomialError when no row is constant."""
+    diagonal, row = _first_constant_row(rows, min_witnesses)
+    if row is None:
+        raise _not_polynomial(min_witnesses, len(diagonal) - 1)
+    return diagonal, row
 
 
 # Rows scan_degree reads before it tests the deepest row directly.  At
@@ -144,7 +153,7 @@ def detect_degree(table: DifferenceTable, min_witnesses: int = 2) -> DegreeRepor
     such row exists within the observed window.
     """
     _check_degree_args(len(table.rows[0]), min_witnesses)
-    diagonal, row = _first_constant_row(table.rows, min_witnesses)
+    diagonal, row = _scan(table.rows, min_witnesses)
     return DegreeReport(degree=len(diagonal) - 1, constant_row_value=row[0], witnesses=len(row))
 
 
@@ -158,18 +167,21 @@ def scan_degree(values, min_witnesses: int = 2) -> tuple[DegreeReport, tuple[Rat
     is, so non-polynomial input costs O(m * (depth + min_witnesses)), not
     O(m^2).
     """
-    return scan_degree_scaled(*common_denominator(tuple(values)), min_witnesses=min_witnesses)
+    denominator, ints = common_denominator(tuple(values))
+    report, diagonal = scan_degree_scaled(denominator, ints, min_witnesses=min_witnesses)
+    return report, tuple(Rational(n, denominator) for n in diagonal)
 
 
 def scan_degree_scaled(denominator: int, ints: list[int],
-                       min_witnesses: int = 2) -> tuple[DegreeReport, tuple[Rational, ...]]:
+                       min_witnesses: int = 2) -> tuple[DegreeReport, list[int]]:
     """scan_degree over values given as common_denominator(values) returns
-    them: ints[i] = denominator * values[i]."""
+    them, ints[i] = denominator * values[i]; the diagonal entries it returns
+    are integers over the same denominator."""
     _check_degree_args(len(ints), min_witnesses)
-    diagonal, row = _first_constant_row(_rows_rejecting_early(ints, min_witnesses), min_witnesses)
+    diagonal, row = _scan(_rows_rejecting_early(ints, min_witnesses), min_witnesses)
     report = DegreeReport(
         degree=len(diagonal) - 1,
         constant_row_value=Rational(row[0], denominator),
         witnesses=len(row),
     )
-    return report, tuple(Rational(n, denominator) for n in diagonal)
+    return report, diagonal

@@ -13,6 +13,7 @@ floating point.
 from __future__ import annotations
 
 import math
+import numbers
 import re
 from fractions import Fraction
 
@@ -59,9 +60,20 @@ def parse_scalar(text: str) -> Rational:
 
 
 def common_denominator(values) -> tuple[int, list[int]]:
-    """(L, numerators): the lcm L of the denominators of values, and each value times L."""
-    den = math.lcm(*(v.denominator for v in values))
-    return den, [v.numerator * (den // v.denominator) for v in values]
+    """(L, numerators): the lcm L of the denominators of values, and each value times L.
+
+    Raises DomainError for a value that is not an exact rational (an int or a
+    Fraction, say): a float or a Decimal would be read as the binary or
+    decimal fraction it stores, which is not what its text says.
+    """
+    for kind in set(map(type, values)):
+        if not issubclass(kind, numbers.Rational):
+            raise DomainError(f"values must be exact rationals (int or Fraction), not {kind.__name__}")
+    ratios = [v.as_integer_ratio() for v in values]
+    den = math.lcm(*[q for _, q in ratios])
+    if den == 1:
+        return 1, [p for p, _ in ratios]
+    return den, [p * (den // q) for p, q in ratios]
 
 
 def _pow10_scale(den: int) -> int | None:

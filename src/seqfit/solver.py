@@ -13,9 +13,11 @@ indexes with g(x) = (x - x0)/h, solving in the g basis, and composing back.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial
+from itertools import accumulate
+from math import factorial, gcd
 
-from .difftable import DegreeReport, scan_degree_scaled
+from .difftable import (DegreeReport, _check_degree_args, _difference_rows, _first_constant_row,
+                        scan_degree_scaled)
 from .errors import DomainError, InconsistentSequenceError
 from .numeric import Rational, common_denominator
 from .triangles import awnt  # noqa: F401 -- unused here, kept for importers of seqfit.solver.awnt
@@ -62,39 +64,64 @@ class FitResult:
     degree_report: DegreeReport
 
 
-def _back_substitute(diagonal, d: int, s: int) -> Polynomial:
-    """Solve diagonal[j]/j! = sum_{m=j}^{d} c_m * S(m+s, j+s) in integers: with L the
-    common denominator, N_j = L*diagonal[j] and C_m = L*d!*c_m,
-    C_j = (d!/j!)*N_j - sum_{m>j} C_m * S(m+s, j+s)."""
-    den, numerators = common_denominator(tuple(diagonal)[:d + 1])
-    if len(numerators) < d + 1:
-        raise DomainError(f"need {d + 1} diagonal entries, got {len(numerators)}")
+# Polynomials and samples travel between the steps of a fit in the form
+# common_denominator returns: a pair (D, N) of an int and a list of ints.  A
+# polynomial (D, C) is sum_j C[j] * x^j / D; samples (L, N) are N[i] / L.  A
+# grid (a, b, q) is the points x_i = (a + i*b)/q.
+
+
+def _polynomial(den: int, coeffs) -> Polynomial:
+    return Polynomial(coefficients=tuple(Rational(c, den) for c in coeffs))
+
+
+def _lowest_terms(poly: tuple[int, list[int]]) -> tuple[int, list[int]]:
+    den, coeffs = poly
+    g = gcd(den, *coeffs)
+    return (den, coeffs) if g == 1 else (den // g, [c // g for c in coeffs])
+
+
+def _grid(start: Rational, step: Rational) -> tuple[int, int, int]:
+    q, (a, b) = common_denominator((start, step))
+    return a, b, q
+
+
+def _back_substitute(den: int, diagonal: list[int], s: int) -> tuple[int, list[int]]:
+    """Solve diagonal[j]/j! = sum_{m=j}^{d} c_m * S(m+s, j+s), d = len(diagonal) - 1,
+    for a diagonal of integers N_j over den, in integers: the solution is
+    (den*d!, C) with C_m = den*d!*c_m, and C_j = (d!/j!)*N_j - sum_{m>j} C_m * S(m+s, j+s)."""
+    d = len(diagonal) - 1
     rows = stirling_table(d + s)[s:]  # rows[m] = S(m+s, .)
     scaled = [0] * (d + 1)
     weight = 1  # d!/j!
     for j in range(d, -1, -1):
-        scaled[j] = weight * numerators[j] - sum(
+        scaled[j] = weight * diagonal[j] - sum(
             scaled[m] * rows[m][j + s] for m in range(j + 1, d + 1))
         weight *= j
-    return Polynomial(coefficients=tuple(Rational(c, den * factorial(d)) for c in scaled))
+    return den * factorial(d), scaled
+
+
+def _solve(diagonal, d: int, s: int) -> Polynomial:
+    den, numerators = common_denominator(tuple(diagonal)[:d + 1])
+    if len(numerators) < d + 1:
+        raise DomainError(f"need {d + 1} diagonal entries, got {len(numerators)}")
+    return _polynomial(*_back_substitute(den, numerators, s))
 
 
 def solve_start_zero(diagonal, d: int) -> Polynomial:
     """Recover c_0..c_d from the diagonal of a sequence indexed 0, 1, 2, ..."""
-    return _back_substitute(diagonal, d, 0)
+    return _solve(diagonal, d, 0)
 
 
 def solve_start_one(diagonal, d: int) -> Polynomial:
     """Recover c_0..c_d from the diagonal of a sequence indexed 1, 2, 3, ..."""
-    return _back_substitute(diagonal, d, 1)
+    return _solve(diagonal, d, 1)
 
 
-def compose_affine(poly_in_g: Polynomial, map: AffineMap) -> Polynomial:
-    """Expand p(g(x)) with g(x) = (x - x0)/h into coefficients over x, in integers:
-    with x0 = a/q, h = b/q and coefficients C_j/D, Horner's rule gives
-    p(g(x)) * D * b^d = sum_j C_j * b^(d-j) * (q*x - a)^j."""
-    q, (a, b) = common_denominator((map.x0, map.h))
-    den, coeffs = common_denominator(poly_in_g.coefficients)
+def _compose(poly: tuple[int, list[int]], grid: tuple[int, int, int]) -> tuple[int, list[int]]:
+    """compose_affine in integers: poly = (D, C) of degree d in g, the index
+    of the points of grid (a, b, q), that is g(x) = (q*x - a)/b, as (D*b^d, X) over x."""
+    den, coeffs = poly
+    a, b, q = grid
     result: list[int] = []
     weight = 1  # b^(d-j)
     for c in reversed(coeffs):  # result = result * (q*x - a) + c * b^(d-j)
@@ -103,44 +130,128 @@ def compose_affine(poly_in_g: Polynomial, map: AffineMap) -> Polynomial:
         weight *= b
     while len(result) > 1 and result[-1] == 0:
         result.pop()
-    scale = den * b**poly_in_g.degree
-    return Polynomial(coefficients=tuple(Rational(c, scale) for c in result))
+    return den * b ** (len(coeffs) - 1), result
+
+
+def compose_affine(poly_in_g: Polynomial, map: AffineMap) -> Polynomial:
+    """Expand p(g(x)) with g(x) = (x - x0)/h into coefficients over x, in integers:
+    with x0 = a/q, h = b/q and coefficients C_j/D, Horner's rule gives
+    p(g(x)) * D * b^d = sum_j C_j * b^(d-j) * (q*x - a)^j."""
+    return _polynomial(*_compose(common_denominator(poly_in_g.coefficients), _grid(map.x0, map.h)))
+
+
+def _first_miss(poly: tuple[int, list[int]], samples: tuple[int, list[int]],
+                grid: tuple[int, int, int]) -> int:
+    """Index of the first sample that poly misses on grid; len(samples[1]) when
+    it reproduces them all.
+
+    Exact, in integers: with poly = (D, C) of n+1 coefficients, samples
+    (L, N) and grid (a, b, q), Horner's rule on the homogeneous form
+    sum_j C_j * q^(n-j) * (a + i*b)^j gives acc_i = poly(x_i) * D * q^n, so
+    poly(x_i) = N[i]/L exactly when acc_i * L = N[i] * D * q^n.
+
+    acc_i is a polynomial in i with at most n+1 coefficients, so with more
+    than 2(n+1) samples only acc_0..acc_n are evaluated by Horner's rule.
+    Their differences times L/(D * q^n), Delta^k acc_0 * L/(D * q^n) for
+    k = 0..n, are the differences of poly(x_i) * L.  If each is an
+    integer, n running sums of them (the difference rows built back up from
+    the constant row n, Newton's forward formula) give poly(x_i) * L at
+    every i, to compare with N[i] as it stands.  If one is not, then
+    poly(x_i) * L is not an integer at some i <= n, so a sample among the
+    first n+1 is missed.  This reads nothing of the samples' own differences.
+    """
+    pden, coeffs = poly
+    den, ints = samples
+    a, b, q = grid
+    n = len(coeffs) - 1
+    leading, *rest = [c * q**j for j, c in enumerate(reversed(coeffs))]  # C_(n-j) * q^j
+    scale = pden * q**n
+
+    def horner(count):
+        for i in range(count):
+            t = a + i * b
+            acc = leading
+            for w in rest:
+                acc = acc * t + w
+            yield acc
+
+    if len(ints) <= 2 * (n + 1):
+        accs = horner(len(ints))
+    else:
+        accs = list(horner(n + 1))
+        diagonal = [row[0] * den for row in _difference_rows(accs)]  # Delta^k acc_0 * L
+        if not any(delta % scale for delta in diagonal):
+            values = [diagonal[-1] // scale] * (len(ints) - n)
+            for delta in reversed(diagonal[:-1]):
+                values = accumulate(values, initial=delta // scale)
+            values = list(values)
+            if values == ints:
+                return len(ints)
+            return next((i for i, (v, u) in enumerate(zip(values, ints)) if v != u), len(ints))
+    return next((i for i, (acc, v) in enumerate(zip(accs, ints)) if acc * den != v * scale),
+                len(ints))
 
 
 def first_mismatch(poly: Polynomial, den: int, ints, start: Rational, step: Rational) -> int:
     """Index of the first value ints[i]/den that poly(start + i*step) does not
     equal; len(ints) when poly reproduces them all.  (den, ints) is the form
-    common_denominator(values) returns.
+    common_denominator(values) returns."""
+    return _first_miss(common_denominator(poly.coefficients), (den, ints), _grid(start, step))
 
-    Exact, in integers: with start = a/q, step = b/q and coefficients
-    C_j = c_j/D over their common denominator D, Horner's rule on the
-    homogeneous form sum_j c_j * q^(d-j) * (a + i*b)^j gives
-    acc_i = poly(x_i) * D * q^d, so poly(x_i) = ints[i]/den exactly when
-    acc_i * den = ints[i] * D * q^d.
-    """
-    q, (a, b) = common_denominator((start, step))
-    pden, coeffs = common_denominator(poly.coefficients)
-    leading, *rest = [c * q**j for j, c in enumerate(reversed(coeffs))]  # c_(d-j) * q^j
-    scale = pden * q**poly.degree
-    for i, n in enumerate(ints):
-        t = a + i * b
-        acc = leading
-        for w in rest:
-            acc = acc * t + w
-        if acc * den != n * scale:
-            return i
-    return len(ints)
+
+# With more than 2 * _PREFIX samples, fit() first reads the degree off the
+# difference rows of the first _PREFIX samples only (see fit), which finds
+# degrees up to _PREFIX - min_witnesses.  On 250-500 samples of degree <= 5
+# (CPython 3.11, time against the full scan) 16 and 32 both took 0.64-0.66,
+# 64 took 0.69-0.71.
+_PREFIX = 32
+
+
+def _solve_and_check(samples: tuple[int, list[int]], diagonal: list[int], shift: int,
+                     grid: tuple[int, int, int]):
+    """poly_in_g from diagonal (integers over samples[0], entries 0..d), poly_in_x
+    on grid, both as (D, C), and the first sample either one misses."""
+    den, ints = samples
+    a, b, q = grid
+    d = len(diagonal) - 1
+    # in lowest terms, as Fractions would be, so that no step after carries
+    # the factor d! and powers of b for nothing
+    poly_in_g = _lowest_terms(_back_substitute(den, diagonal, shift))
+    # the g basis starts at index `shift`: g(x) = (x - x0)/h + shift = (q*x - (a - shift*b))/b
+    poly_in_x = _lowest_terms(_compose(poly_in_g, (a - shift * b, b, q)))
+    # poly_in_g is checked at g = s..s+d only.  If both polynomials match
+    # there, poly_in_g(s+i) = a_i = poly_in_x(x_i) at d+1 distinct points, and
+    # both have at most d+1 coefficients (_back_substitute and _compose
+    # build d+1), so poly_in_g(g(x)) = poly_in_x(x) for every x: poly_in_g
+    # misses a sample exactly where poly_in_x does.  So the index below is the
+    # min(g mismatch, x mismatch) that checking both at every sample gives.
+    # k = d+1 is a prefix that all matches, not a mismatch; a mismatch k <= d
+    # leaves only the samples before it to check in x.
+    k = _first_miss(poly_in_g, (den, ints[:d + 1]), (shift, 1, 1))
+    return poly_in_g, poly_in_x, _first_miss(poly_in_x, (den, ints if k > d else ints[:k]), grid)
 
 
 def fit(values, map: AffineMap, convention: str = "start_zero",
         min_witnesses: int = 2) -> FitResult:
     """End-to-end fit: difference rows, degree, solve, recompose, verify.
 
-    The samples are scaled to integers once, by common_denominator, and both
-    the degree scan and the verification read that form.  poly_in_x is checked
-    against every sample and poly_in_g at its first d+1, which is as strong
-    as checking both everywhere (see the comment at the check); a failure
-    reports the first sample either polynomial misses.
+    The samples are scaled to integers once, by common_denominator, and
+    everything up to the FitResult runs on integers over that denominator.
+    poly_in_x is checked against every sample and poly_in_g at its first
+    d+1, which is as strong as checking both everywhere (see the comment in
+    _solve_and_check); a failure reports the first sample either
+    polynomial misses.
+
+    With m > 2 * _PREFIX samples the degree is first read off the plain
+    difference rows of the first _PREFIX samples: O(_PREFIX * d) work, plus
+    O(m * d) additions for the every-sample check.  That is exact.  The
+    prefix rows are prefixes of the full rows, so if the polynomial solved
+    from a constant prefix row d reproduces all m samples, full row d is
+    constant with m - d entries and every full row above it holds a
+    non-constant prefix row: the full scan would stop at the same row with
+    the same diagonal.  If it misses a sample, full row d is not constant
+    (Newton's forward formula would make the samples equal it), and the full
+    scan, with its early rejection, gives the outcome.
     """
     values = tuple(values)
     if len(values) < 2:
@@ -149,33 +260,25 @@ def fit(values, map: AffineMap, convention: str = "start_zero",
     if shift is None:
         raise DomainError(f"unknown convention {convention!r}")
 
-    den, ints = common_denominator(values)
-    report, diagonal = scan_degree_scaled(den, ints, min_witnesses=min_witnesses)
-    d = report.degree
-
-    poly_in_g = (solve_start_one if shift else solve_start_zero)(diagonal, d)
-    # the g basis starts at index `shift`: g(x) = (x - x0)/h + shift = (x - (x0 - shift*h))/h
+    samples = den, ints = common_denominator(values)
+    grid = _grid(map.x0, map.h)
     index_map = AffineMap(x0=map.x0 - shift * map.h, h=map.h)
-    poly_in_x = compose_affine(poly_in_g, index_map)
 
-    # poly_in_g is checked at g = s..s+d only.  If both polynomials match
-    # there, poly_in_g(s+i) = a_i = poly_in_x(x_i) at d+1 distinct points, and
-    # both have at most d+1 coefficients (_back_substitute and compose_affine
-    # build d+1), so poly_in_g(g(x)) = poly_in_x(x) for every x: poly_in_g
-    # misses a sample exactly where poly_in_x does.  So i below is the
-    # min(g mismatch, x mismatch) that checking both at every sample gives.
-    # k = d+1 is a prefix that all matches, not a mismatch; a mismatch k <= d
-    # leaves only the samples before it to check in x.
-    k = first_mismatch(poly_in_g, den, ints[:d + 1], Rational(shift), Rational(1))
-    i = first_mismatch(poly_in_x, den, ints if k > d else ints[:k], map.x0, map.h)
-    if i < len(values):
+    if len(ints) > 2 * _PREFIX:
+        _check_degree_args(len(ints), min_witnesses)
+        diagonal, row = _first_constant_row(_difference_rows(ints[:_PREFIX]), min_witnesses)
+        if row is not None:
+            poly_in_g, poly_in_x, i = _solve_and_check(samples, diagonal, shift, grid)
+            if i == len(ints):
+                d = len(diagonal) - 1
+                report = DegreeReport(degree=d, constant_row_value=Rational(row[0], den),
+                                      witnesses=len(ints) - d)
+                return FitResult(_polynomial(*poly_in_g), _polynomial(*poly_in_x), index_map, report)
+
+    report, diagonal = scan_degree_scaled(den, ints, min_witnesses=min_witnesses)
+    poly_in_g, poly_in_x, i = _solve_and_check(samples, diagonal, shift, grid)
+    if i < len(ints):
         raise InconsistentSequenceError(
             f"fitted polynomial does not reproduce sample {i} (x={map.x0 + i * map.h})"
         )
-
-    return FitResult(
-        poly_in_g=poly_in_g,
-        poly_in_x=poly_in_x,
-        index_map=index_map,
-        degree_report=report,
-    )
+    return FitResult(_polynomial(*poly_in_g), _polynomial(*poly_in_x), index_map, report)

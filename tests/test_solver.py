@@ -1,4 +1,5 @@
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -17,7 +18,8 @@ from seqfit import (
     solve_start_zero,
 )
 from seqfit import solver
-from seqfit.errors import DomainError, InconsistentSequenceError
+from seqfit.difftable import scan_degree
+from seqfit.errors import DomainError, InconsistentSequenceError, NotPolynomialError
 from seqfit.numeric import common_denominator
 from seqfit.oracle import vandermonde_fit
 from seqfit.solver import first_mismatch
@@ -131,6 +133,21 @@ class TestFit:
         with pytest.raises(DomainError):
             fit([Fraction(1)], AffineMap(Fraction(0), Fraction(1)))
 
+    @pytest.mark.parametrize("values", [
+        [0.5, 1.0, 1.5],
+        [Decimal("0.5"), Decimal("1.0"), Decimal("1.5")],
+        [Fraction(1, 2), 1, 1.5],  # one inexact sample among exact ones
+    ])
+    def test_inexact_samples_rejected(self, values):
+        with pytest.raises(DomainError, match="exact rationals"):
+            fit(values, AffineMap(Fraction(0), Fraction(1)))
+
+    @pytest.mark.parametrize("m", [8, 80])  # both sides of the prefix selection
+    def test_fewer_than_two_witnesses_rejected(self, m):
+        with pytest.raises(DomainError, match="min_witnesses must be >= 2"):
+            fit([Fraction(i) for i in range(m)], AffineMap(Fraction(0), Fraction(1)),
+                min_witnesses=1)
+
     def test_unknown_convention(self):
         for convention in ("newton", "auto"):  # auto is a CLI alias only
             with pytest.raises(DomainError, match="unknown convention"):
@@ -177,7 +194,8 @@ class TestFirstMismatch:
         p = Polynomial(coefficients=tuple(random_rational(rng) for _ in range(d + 1)))
         x0 = random_rational(rng)
         h = -Fraction(rng.randint(1, 9), rng.randint(1, 10))  # negative steps
-        samples = [p(x0 + i * h) for i in range(rng.randint(d + 2, d + 6))]
+        # up to 2(d+1) samples are checked by Horner's rule, more by running sums
+        samples = [p(x0 + i * h) for i in range(rng.randint(d + 2, 3 * (d + 1) + 5))]
         return p, x0, h, samples
 
     def test_accepts_true_samples_in_both_bases_and_conventions(self):
@@ -207,8 +225,12 @@ class TestFirstMismatch:
         for _ in range(200):
             p, x0, h, samples = self.random_case(rng)
             values = [v if rng.random() < 0.8 else random_rational(rng) for v in samples]
-            expected = next((i for i, v in enumerate(values) if p(x0 + i * h) != v), len(values))
-            assert first_mismatch(p, *common_denominator(values), x0, h) == expected
+            # another polynomial's values often have denominators the samples' lack
+            other = self.random_case(rng)[0]
+            for poly_ in (p, other):
+                expected = next((i for i, v in enumerate(values) if poly_(x0 + i * h) != v),
+                                len(values))
+                assert first_mismatch(poly_, *common_denominator(values), x0, h) == expected
 
 
 def vanishing(roots, scale):
@@ -244,34 +266,39 @@ class TestVerification:
     M = 12
 
     def run(self, monkeypatch, convention, grid, corrupt_g=None, corrupt_x=None):
-        """fit() with its solve (poly_in_g) and its composition (poly_in_x)
-        replaced by the true polynomial, or by corrupt_*(true, roots), where
-        roots are the d points the corruption may agree at.  Composition always
-        starts from the true poly_in_g, so a corrupted poly_in_g is seen only
-        by its own check.  Asserts that fit() reports the first sample either
-        polynomial misses, found by rational evaluation at every sample, and
-        returns that index."""
+        """fit() over M samples with its integer solve (poly_in_g) and its
+        integer composition (poly_in_x) replaced by the true polynomial, or by
+        corrupt_*(true, roots), where roots are the d points the corruption
+        may agree at.  Composition always starts from the true poly_in_g, so a
+        corrupted poly_in_g is seen only by its own check.  Asserts that fit()
+        reports the first sample either polynomial misses, found by rational
+        evaluation at every sample, after trying the prefix degree first when
+        M > 2 * _PREFIX, and returns that index."""
         x0, h = self.GRIDS[grid]
         shift = {"start_zero": 0, "start_one": 1}[convention]
         values = [Polynomial(coefficients=self.TRUE_X)(x0 + i * h) for i in range(self.M)]
-        name = f"solve_{convention}"
-        real_solve = {"start_zero": solve_start_zero, "start_one": solve_start_one}[convention]
-        used = {}
+        real_solve, real_compose = solver._back_substitute, solver._compose
+        used = {"solves": 0}
 
-        def solve(diagonal, d):
-            used["true_g"] = g = real_solve(diagonal, d)
-            used["g"] = corrupt_g(g, [shift + i for i in range(d)]) if corrupt_g else g
-            return used["g"]
+        def solve(den, diagonal, s):
+            assert s == shift
+            used["solves"] += 1
+            used["true_g"] = true = real_solve(den, diagonal, s)
+            g = Polynomial(coefficients=tuple(Fraction(c, true[0]) for c in true[1]))
+            used["g"] = corrupt_g(g, [shift + i for i in range(g.degree)]) if corrupt_g else g
+            return common_denominator(used["g"].coefficients)
 
-        def compose(poly_in_g, index_map):
-            x = compose_affine(used["true_g"], index_map)
+        def compose(poly_in_g, index_grid):
+            den, coeffs = real_compose(used["true_g"], index_grid)
+            x = Polynomial(coefficients=tuple(Fraction(c, den) for c in coeffs))
             used["x"] = corrupt_x(x, [x0 + i * h for i in range(x.degree)]) if corrupt_x else x
-            return used["x"]
+            return common_denominator(used["x"].coefficients)
 
-        monkeypatch.setattr(solver, name, solve)
-        monkeypatch.setattr(solver, "compose_affine", compose)
+        monkeypatch.setattr(solver, "_back_substitute", solve)
+        monkeypatch.setattr(solver, "_compose", compose)
         with pytest.raises(InconsistentSequenceError) as raised:
             fit(values, AffineMap(x0, h), convention)
+        assert used["solves"] == (2 if self.M > 2 * solver._PREFIX else 1)
         g, x = used["g"], used["x"]
         assert len(g.coefficients) == len(x.coefficients) == len(self.TRUE_X)
         expected = next(i for i, v in enumerate(values)
@@ -315,6 +342,13 @@ class TestVerification:
         result = fit(values, AffineMap(x0, h), convention)
         assert result.degree_report.degree == 3
         assert result.poly_in_x == p
+
+
+class TestVerificationPastThePrefix(TestVerification):
+    """The same corruptions over 80 samples, where fit() first tries the degree
+    read from a prefix, rejects it, and falls back to the full scan."""
+
+    M = 80
 
 # Per-cell back-substitution straight from the triangle definitions, with the
 # pivots AWNT(k,k) = k! and MWNT(k,k) = (k-1)!: the reference for the solver's
@@ -390,4 +424,53 @@ class TestSolverProperties:
         assert result.poly_in_x.coefficients == vandermonde_fit(zip(xs, values)).coefficients
         first = 1 if convention == "start_one" else 0
         indexed = [(first + i, v) for i, v in enumerate(values)]
+        assert result.poly_in_g.coefficients == vandermonde_fit(indexed).coefficients
+
+
+@st.composite
+def long_inputs(draw):
+    """(values, x0, h): 65-200 samples, more than twice the prefix fit() reads
+    the degree from, drawn as a polynomial's samples; the same with one sample
+    moved past the prefix; one polynomial's samples on the prefix and
+    another's beyond it; or b^i."""
+    m = draw(st.integers(min_value=65, max_value=200))
+    x0, h = draw(small_rationals), draw(steps)
+    xs = [x0 + i * h for i in range(m)]
+    p = Polynomial(coefficients=tuple(draw(st.lists(small_rationals, min_size=1, max_size=7))))
+    values = [p(x) for x in xs]
+    kind = draw(st.sampled_from(("polynomial", "moved", "two", "power")))
+    if kind == "moved":
+        values[draw(st.integers(min_value=solver._PREFIX, max_value=m - 1))] += \
+            draw(small_rationals.filter(bool))
+    elif kind == "two":
+        other = Polynomial(coefficients=tuple(draw(st.lists(small_rationals, min_size=1, max_size=7))))
+        cut = draw(st.integers(min_value=solver._PREFIX, max_value=m - 1))
+        values[cut:] = [other(x) for x in xs[cut:]]
+    elif kind == "power":
+        base = draw(st.integers(min_value=2, max_value=5))
+        values = [Fraction(base**i) for i in range(m)]
+    return values, x0, h
+
+
+class TestLongInputs:
+    @settings(max_examples=150, deadline=None)
+    @given(long_inputs(), st.sampled_from(("start_zero", "start_one")), st.sampled_from((2, 5)))
+    def test_fit_agrees_with_the_full_scan_and_the_vandermonde_oracle(self, case, convention, w):
+        values, x0, h = case
+        try:
+            report, _ = scan_degree(values, min_witnesses=w)
+        except NotPolynomialError as expected:
+            with pytest.raises(NotPolynomialError) as raised:
+                fit(values, AffineMap(x0, h), convention, min_witnesses=w)
+            assert str(raised.value) == str(expected)
+            assert raised.value.deepest_row == expected.deepest_row
+            return
+        result = fit(values, AffineMap(x0, h), convention, min_witnesses=w)
+        assert result.degree_report == report
+        # the O(m^3) oracle on d+2 samples, which fix the polynomial; fit() checked the rest
+        n = report.degree + 2
+        xs = [x0 + i * h for i in range(n)]
+        assert result.poly_in_x.coefficients == vandermonde_fit(zip(xs, values)).coefficients
+        first = 1 if convention == "start_one" else 0
+        indexed = [(first + i, v) for i, v in enumerate(values[:n])]
         assert result.poly_in_g.coefficients == vandermonde_fit(indexed).coefficients
