@@ -203,13 +203,14 @@ def verify_cmd(self_check, oeis_id, online, cells):
     """Run self-verification suites and OEIS cross-checks."""
     if not self_check and oeis_id is None:
         raise click.UsageError("nothing to verify: pass --self and/or --oeis")
-    kind = {"A019538": TriangleKind.AWNT, "A028246": TriangleKind.MWNT}.get(oeis_id)
-    if oeis_id is not None and kind is None:
-        raise click.UsageError(f"no triangle mapping for {oeis_id}")
-    failures = _run_self_checks() if self_check else 0
-    if kind is not None:
-        from .oeis import crosscheck_triangle, fetch_bfile
+    if oeis_id is not None:
+        from .oeis import TRIANGLE_KINDS, crosscheck_triangle, fetch_bfile
 
+        kind = TRIANGLE_KINDS.get(oeis_id)
+        if kind is None:
+            raise click.UsageError(f"no triangle mapping for {oeis_id}")
+    failures = _run_self_checks() if self_check else 0
+    if oeis_id is not None:
         try:
             bfile = fetch_bfile(oeis_id, source="network" if online else "fixture")
             report = crosscheck_triangle(kind, bfile, cells)

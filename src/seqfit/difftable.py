@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import islice
+from itertools import accumulate, islice
 from operator import mul
 
 from .errors import DomainError, NotPolynomialError
@@ -42,6 +42,17 @@ def _difference_rows(row: list[int]) -> Iterator[list[int]]:
     while len(row) > 1:
         row = [b - a for a, b in zip(row, row[1:])]
         yield row
+
+
+def _newton_values(diagonal: list[int], m: int) -> list[int]:
+    """Row 0, m entries long, of the difference table with main diagonal
+    `diagonal` and a constant last row: Newton's forward formula, the inverse
+    of _difference_rows, as d = len(diagonal) - 1 passes of running sums."""
+    d = len(diagonal) - 1
+    values = [diagonal[-1]] * (m - d)
+    for delta in reversed(diagonal[:-1]):
+        values = accumulate(values, initial=delta)
+    return list(values)
 
 
 def build_table(values) -> DifferenceTable:

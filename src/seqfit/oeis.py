@@ -22,7 +22,8 @@ from .triangles import TriangleKind, build_triangle
 _ID_RE = re.compile(r"A(\d{6})\Z")
 _LINE_RE = re.compile(r"(-?\d+)\s+(-?\d+)\Z")
 
-FIXTURE_IDS = {"A019538", "A028246"}
+# The triangle each bundled fixture holds, and the ids `verify --oeis` accepts.
+TRIANGLE_KINDS = {"A019538": TriangleKind.AWNT, "A028246": TriangleKind.MWNT}
 
 
 @dataclass(frozen=True)
@@ -70,7 +71,7 @@ def fetch_bfile(sequence_id: str, source: str = "fixture") -> BFile:
     if m is None:
         raise BFileError(f"bad OEIS id {sequence_id!r}; expected 'A' + 6 digits")
     if source == "fixture":
-        if sequence_id not in FIXTURE_IDS:
+        if sequence_id not in TRIANGLE_KINDS:
             raise BFileError(f"no bundled fixture for {sequence_id}")
         text = (
             resources.files("seqfit") / "fixtures" / f"b{m.group(1)}.txt"

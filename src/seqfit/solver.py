@@ -13,11 +13,10 @@ indexes with g(x) = (x - x0)/h, solving in the g basis, and composing back.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
 from math import factorial, gcd
 
 from .difftable import (DegreeReport, _check_degree_args, _difference_rows, _first_constant_row,
-                        scan_degree_scaled)
+                        _newton_values, scan_degree_scaled)
 from .errors import DomainError, InconsistentSequenceError
 from .numeric import Rational, common_denominator
 from .triangles import awnt  # noqa: F401 -- unused here, kept for importers of seqfit.solver.awnt
@@ -101,6 +100,8 @@ def _back_substitute(den: int, diagonal: list[int], s: int) -> tuple[int, list[i
 
 
 def _solve(diagonal, d: int, s: int) -> Polynomial:
+    if d < 0:
+        raise DomainError(f"degree must be >= 0, got {d}")
     den, numerators = common_denominator(tuple(diagonal)[:d + 1])
     if len(numerators) < d + 1:
         raise DomainError(f"need {d + 1} diagonal entries, got {len(numerators)}")
@@ -149,16 +150,6 @@ def _first_miss(poly: tuple[int, list[int]], samples: tuple[int, list[int]],
     (L, N) and grid (a, b, q), Horner's rule on the homogeneous form
     sum_j C_j * q^(n-j) * (a + i*b)^j gives acc_i = poly(x_i) * D * q^n, so
     poly(x_i) = N[i]/L exactly when acc_i * L = N[i] * D * q^n.
-
-    acc_i is a polynomial in i with at most n+1 coefficients, so with more
-    than 2(n+1) samples only acc_0..acc_n are evaluated by Horner's rule.
-    Their differences times L/(D * q^n), Delta^k acc_0 * L/(D * q^n) for
-    k = 0..n, are the differences of poly(x_i) * L.  If each is an
-    integer, n running sums of them (the difference rows built back up from
-    the constant row n, Newton's forward formula) give poly(x_i) * L at
-    every i, to compare with N[i] as it stands.  If one is not, then
-    poly(x_i) * L is not an integer at some i <= n, so a sample among the
-    first n+1 is missed.  This reads nothing of the samples' own differences.
     """
     pden, coeffs = poly
     den, ints = samples
@@ -166,37 +157,14 @@ def _first_miss(poly: tuple[int, list[int]], samples: tuple[int, list[int]],
     n = len(coeffs) - 1
     leading, *rest = [c * q**j for j, c in enumerate(reversed(coeffs))]  # C_(n-j) * q^j
     scale = pden * q**n
-
-    def horner(count):
-        for i in range(count):
-            t = a + i * b
-            acc = leading
-            for w in rest:
-                acc = acc * t + w
-            yield acc
-
-    if len(ints) <= 2 * (n + 1):
-        accs = horner(len(ints))
-    else:
-        accs = list(horner(n + 1))
-        diagonal = [row[0] * den for row in _difference_rows(accs)]  # Delta^k acc_0 * L
-        if not any(delta % scale for delta in diagonal):
-            values = [diagonal[-1] // scale] * (len(ints) - n)
-            for delta in reversed(diagonal[:-1]):
-                values = accumulate(values, initial=delta // scale)
-            values = list(values)
-            if values == ints:
-                return len(ints)
-            return next((i for i, (v, u) in enumerate(zip(values, ints)) if v != u), len(ints))
-    return next((i for i, (acc, v) in enumerate(zip(accs, ints)) if acc * den != v * scale),
-                len(ints))
-
-
-def first_mismatch(poly: Polynomial, den: int, ints, start: Rational, step: Rational) -> int:
-    """Index of the first value ints[i]/den that poly(start + i*step) does not
-    equal; len(ints) when poly reproduces them all.  (den, ints) is the form
-    common_denominator(values) returns."""
-    return _first_miss(common_denominator(poly.coefficients), (den, ints), _grid(start, step))
+    for i, v in enumerate(ints):
+        t = a + i * b
+        acc = leading
+        for w in rest:
+            acc = acc * t + w
+        if acc * den != v * scale:
+            return i
+    return len(ints)
 
 
 # With more than 2 * _PREFIX samples, fit() first reads the degree off the
@@ -219,16 +187,29 @@ def _solve_and_check(samples: tuple[int, list[int]], diagonal: list[int], shift:
     poly_in_g = _lowest_terms(_back_substitute(den, diagonal, shift))
     # the g basis starts at index `shift`: g(x) = (x - x0)/h + shift = (q*x - (a - shift*b))/b
     poly_in_x = _lowest_terms(_compose(poly_in_g, (a - shift * b, b, q)))
-    # poly_in_g is checked at g = s..s+d only.  If both polynomials match
-    # there, poly_in_g(s+i) = a_i = poly_in_x(x_i) at d+1 distinct points, and
-    # both have at most d+1 coefficients (_back_substitute and _compose
-    # build d+1), so poly_in_g(g(x)) = poly_in_x(x) for every x: poly_in_g
-    # misses a sample exactly where poly_in_x does.  So the index below is the
-    # min(g mismatch, x mismatch) that checking both at every sample gives.
-    # k = d+1 is a prefix that all matches, not a mismatch; a mismatch k <= d
-    # leaves only the samples before it to check in x.
+    # Horner's rule checks poly_in_g at the first d+1 samples and poly_in_x at
+    # those, or at all m when m <= 2(d+1); past that, one comparison with the
+    # running sums of `diagonal` checks every sample.  That is exact, and as
+    # strong as checking both polynomials everywhere:
+    # - each has at most d+1 coefficients (_back_substitute and _compose
+    #   build d+1), so matching the first d+1 samples makes it the polynomial
+    #   through them;
+    # - that polynomial's values are the running sums of its difference
+    #   diagonal (Newton's forward formula);
+    # - if `diagonal` were wrong, the sums would miss a sample among the
+    #   first d+1, so an accepted fit never rests on the scan alone.
+    # The sums add d times over all m samples, so they pay only when most
+    # samples lie past the first d+1.  A miss k <= d in g leaves only the
+    # samples before it to check in x.
+    m = len(ints)
+    head = m if m <= 2 * (d + 1) else d + 1
     k = _first_miss(poly_in_g, (den, ints[:d + 1]), (shift, 1, 1))
-    return poly_in_g, poly_in_x, _first_miss(poly_in_x, (den, ints if k > d else ints[:k]), grid)
+    i = _first_miss(poly_in_x, (den, ints[:k if k <= d else head]), grid)
+    if i == head < m:
+        values = _newton_values(diagonal, m)
+        i = m if values == ints else next(
+            j for j, (v, u) in enumerate(zip(values, ints)) if v != u)
+    return poly_in_g, poly_in_x, i
 
 
 def fit(values, map: AffineMap, convention: str = "start_zero",
@@ -237,10 +218,10 @@ def fit(values, map: AffineMap, convention: str = "start_zero",
 
     The samples are scaled to integers once, by common_denominator, and
     everything up to the FitResult runs on integers over that denominator.
-    poly_in_x is checked against every sample and poly_in_g at its first
-    d+1, which is as strong as checking both everywhere (see the comment in
-    _solve_and_check); a failure reports the first sample either
-    polynomial misses.
+    Both polynomials are checked at every sample: by Horner's rule at the
+    first d+1, where matching makes each the polynomial through them, and
+    by Newton's running sums of the diagonal past them (the argument is at
+    _solve_and_check).  A failure reports the first sample either misses.
 
     With m > 2 * _PREFIX samples the degree is first read off the plain
     difference rows of the first _PREFIX samples: O(_PREFIX * d) work, plus

@@ -119,6 +119,29 @@ def test_polynomial_rows_go_constant_then_zero(coeffs, extra):
         assert all(v == 0 for v in deeper)
 
 
+class TestNewtonValues:
+    """difftable._newton_values, the inverse of _difference_rows."""
+
+    @staticmethod
+    def diagonal(ints):
+        return [row[0] for row in difftable._difference_rows(ints)]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(min_value=-10**12, max_value=10**12), min_size=1, max_size=40))
+    def test_the_full_diagonal_gives_back_the_list(self, ints):
+        assert difftable._newton_values(self.diagonal(ints), len(ints)) == ints
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(min_value=-50, max_value=50), min_size=1, max_size=8),
+           st.integers(min_value=-9, max_value=9), st.integers(min_value=-9, max_value=9),
+           st.integers(min_value=0, max_value=60))
+    def test_d_plus_1_entries_give_back_every_value_of_degree_d(self, coeffs, a, b, extra):
+        d = len(coeffs) - 1
+        ints = [sum(c * (a + i * b) ** j for j, c in enumerate(coeffs))
+                for i in range(d + 1 + extra)]
+        assert difftable._newton_values(self.diagonal(ints)[:d + 1], len(ints)) == ints
+
+
 def polynomial_samples(coeffs, x0, h, extra):
     return [sum(c * (x0 + i * h) ** j for j, c in enumerate(coeffs))
             for i in range(len(coeffs) + extra)]

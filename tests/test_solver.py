@@ -18,11 +18,10 @@ from seqfit import (
     solve_start_zero,
 )
 from seqfit import solver
-from seqfit.difftable import scan_degree
+from seqfit.difftable import DegreeReport, scan_degree
 from seqfit.errors import DomainError, InconsistentSequenceError, NotPolynomialError
 from seqfit.numeric import common_denominator
 from seqfit.oracle import vandermonde_fit
-from seqfit.solver import first_mismatch
 
 from conftest import (
     COEFFS_DECIMAL_G,
@@ -56,6 +55,12 @@ class TestSolveStartZero:
         with pytest.raises(DomainError):
             solve_start_zero([Fraction(1)], 2)
 
+    def test_negative_degree_rejected(self):
+        with pytest.raises(DomainError, match="degree must be >= 0, got -1"):
+            solve_start_zero([Fraction(1)], -1)
+        with pytest.raises(DomainError, match="degree must be >= 0, got -2"):
+            solve_start_zero([Fraction(1), Fraction(2), Fraction(3)], -2)
+
 
 class TestSolveStartOne:
     def test_degree_six_example(self):
@@ -70,6 +75,12 @@ class TestSolveStartOne:
         oracle = vandermonde_fit([(1, 7), (2, 11)])
         assert oracle.coefficients == (3, 4)
         assert solve_start_one([Fraction(7), Fraction(4)], 1).coefficients == (3, 4)
+
+    def test_negative_degree_rejected(self):
+        with pytest.raises(DomainError, match="degree must be >= 0, got -1"):
+            solve_start_one([Fraction(1)], -1)
+        with pytest.raises(DomainError, match="degree must be >= 0, got -2"):
+            solve_start_one([Fraction(1), Fraction(2), Fraction(3)], -2)
 
     def test_matches_start_zero_after_reindexing(self):
         # same data viewed with index starting at 0, composed with g(x) = x - 1
@@ -185,8 +196,16 @@ def test_round_trip_on_random_affine_grids():
         assert result.poly_in_x.coefficients == p.coefficients, (coeffs, x0, h)
 
 
+def first_miss(p, samples, start, step):
+    """solver._first_miss of p on the grid start + i*step, samples as
+    common_denominator returns them."""
+    return solver._first_miss(common_denominator(p.coefficients), samples,
+                              solver._grid(start, step))
+
+
 class TestFirstMismatch:
-    """The integer reproduction check that fit() runs on both bases."""
+    """solver._first_miss, the integer reproduction check that fit() runs on
+    both bases, called on polynomials and grids in the form fit() passes."""
 
     @staticmethod
     def random_case(rng):
@@ -194,7 +213,6 @@ class TestFirstMismatch:
         p = Polynomial(coefficients=tuple(random_rational(rng) for _ in range(d + 1)))
         x0 = random_rational(rng)
         h = -Fraction(rng.randint(1, 9), rng.randint(1, 10))  # negative steps
-        # up to 2(d+1) samples are checked by Horner's rule, more by running sums
         samples = [p(x0 + i * h) for i in range(rng.randint(d + 2, 3 * (d + 1) + 5))]
         return p, x0, h, samples
 
@@ -203,12 +221,12 @@ class TestFirstMismatch:
         for _ in range(200):
             p, x0, h, samples = self.random_case(rng)
             scaled = common_denominator(samples)
-            assert first_mismatch(p, *scaled, x0, h) == len(samples)
+            assert first_miss(p, scaled, x0, h) == len(samples)
             for convention, first_index in (("start_zero", 0), ("start_one", 1)):
                 result = fit(samples, AffineMap(x0, h), convention)
-                assert first_mismatch(result.poly_in_x, *scaled, x0, h) == len(samples)
-                assert first_mismatch(result.poly_in_g, *scaled, Fraction(first_index),
-                                      Fraction(1)) == len(samples)
+                assert first_miss(result.poly_in_x, scaled, x0, h) == len(samples)
+                assert first_miss(result.poly_in_g, scaled, Fraction(first_index),
+                                  Fraction(1)) == len(samples)
 
     def test_rejects_a_sample_off_by_one_over_q(self):
         rng = random.Random(2018)
@@ -218,7 +236,7 @@ class TestFirstMismatch:
             for i in (0, len(samples) // 2, len(samples) - 1):
                 perturbed = list(samples)
                 perturbed[i] += Fraction(rng.choice((1, -1)), q)
-                assert first_mismatch(p, *common_denominator(perturbed), x0, h) == i
+                assert first_miss(p, common_denominator(perturbed), x0, h) == i
 
     def test_agrees_with_rational_evaluation(self):
         rng = random.Random(4300)
@@ -230,7 +248,7 @@ class TestFirstMismatch:
             for poly_ in (p, other):
                 expected = next((i for i, v in enumerate(values) if poly_(x0 + i * h) != v),
                                 len(values))
-                assert first_mismatch(poly_, *common_denominator(values), x0, h) == expected
+                assert first_miss(poly_, common_denominator(values), x0, h) == expected
 
 
 def vanishing(roots, scale):
@@ -327,6 +345,12 @@ class TestVerification:
 
     @pytest.mark.parametrize("grid", list(GRIDS))
     @pytest.mark.parametrize("convention", ["start_zero", "start_one"])
+    def test_poly_in_x_right_at_the_first_d_samples_is_rejected_at_sample_d(
+            self, monkeypatch, convention, grid):
+        assert self.run(monkeypatch, convention, grid, corrupt_x=agreeing_at) == 4
+
+    @pytest.mark.parametrize("grid", list(GRIDS))
+    @pytest.mark.parametrize("convention", ["start_zero", "start_one"])
     def test_the_first_miss_of_either_polynomial_is_reported(self, monkeypatch, convention, grid):
         # one polynomial misses from sample d on, the other from sample 0 or 1
         assert self.run(monkeypatch, convention, grid,
@@ -349,6 +373,61 @@ class TestVerificationPastThePrefix(TestVerification):
     read from a prefix, rejects it, and falls back to the full scan."""
 
     M = 80
+
+
+class TestVerificationDoesNotTrustTheScan:
+    """fit() rejects a degree or a diagonal that the scan got wrong, at the
+    first sample the polynomial solved from it misses, whether the check past
+    the first d+1 samples is Horner's rule or the diagonal's running sums."""
+
+    TRUE_X = TestVerification.TRUE_X  # degree 4
+    GRIDS = TestVerification.GRIDS
+
+    def fit_with_scan(self, monkeypatch, m, convention, grid, wrong):
+        """fit() over m samples of TRUE_X with scan_degree_scaled's
+        (report, diagonal) replaced by wrong(report, diagonal); returns the
+        samples and the InconsistentSequenceError raised."""
+        x0, h = self.GRIDS[grid]
+        values = [Polynomial(coefficients=self.TRUE_X)(x0 + i * h) for i in range(m)]
+        real = solver.scan_degree_scaled
+        monkeypatch.setattr(solver, "scan_degree_scaled",
+                            lambda *args, **kwargs: wrong(*real(*args, **kwargs)))
+        with pytest.raises(InconsistentSequenceError) as raised:
+            fit(values, AffineMap(x0, h), convention)
+        return values, raised.value
+
+    # m = 6 and 9 are at most 2(d+1) = 10 samples, 9 and 40 more than
+    # 2(d'+1) = 8 for the claimed degree d' = 3; all are at most 2 * _PREFIX
+    @pytest.mark.parametrize("m", [6, 9, 40])
+    @pytest.mark.parametrize("grid", list(GRIDS))
+    @pytest.mark.parametrize("convention", ["start_zero", "start_one"])
+    def test_a_degree_too_low_is_rejected_where_its_polynomial_misses(
+            self, monkeypatch, m, convention, grid):
+        def one_lower(report, diagonal):
+            d = report.degree - 1
+            return DegreeReport(d, report.constant_row_value, report.witnesses + 1), diagonal[:d + 1]
+
+        assert m <= 2 * solver._PREFIX
+        values, error = self.fit_with_scan(monkeypatch, m, convention, grid, one_lower)
+        x0, h = self.GRIDS[grid]
+        xs = [x0 + i * h for i in range(m)]
+        claimed = vandermonde_fit(zip(xs[:len(self.TRUE_X) - 1], values))  # through d samples
+        expected = next(i for i, (x, v) in enumerate(zip(xs, values)) if claimed(x) != v)
+        assert str(error) == \
+            f"fitted polynomial does not reproduce sample {expected} (x={xs[expected]})"
+
+    @pytest.mark.parametrize("m", [6, 40])
+    @pytest.mark.parametrize("grid", list(GRIDS))
+    @pytest.mark.parametrize("convention", ["start_zero", "start_one"])
+    def test_a_wrong_first_diagonal_entry_is_rejected_at_sample_0(
+            self, monkeypatch, m, convention, grid):
+        def off_by_one(report, diagonal):
+            return report, [diagonal[0] + 1] + diagonal[1:]
+
+        _, error = self.fit_with_scan(monkeypatch, m, convention, grid, off_by_one)
+        x0 = self.GRIDS[grid][0]
+        assert str(error) == f"fitted polynomial does not reproduce sample 0 (x={x0})"
+
 
 # Per-cell back-substitution straight from the triangle definitions, with the
 # pivots AWNT(k,k) = k! and MWNT(k,k) = (k-1)!: the reference for the solver's
