@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import accumulate, islice
+from itertools import accumulate
 from operator import mul
 
 from .errors import DomainError, NotPolynomialError
@@ -119,13 +119,11 @@ def _scan(rows, min_witnesses: int):
     return diagonal, row
 
 
-# Rows scan_degree reads before it tests the deepest row directly.  At
-# m = 250-500 the test costs as much as 6-16 scanned rows (timeit, CPython
-# 3.11, polynomial and b^i inputs, min_witnesses 2 and 5).  Scanning no more
-# rows first than the test costs bounds the waste either way: a scan that
-# stops within these rows never pays for the test, a deeper one pays for it
-# once, and non-polynomial input costs these rows plus the test, not m rows.
-_DEEPEST_ROW_TEST_DEPTH = 6
+# The degree search's one tuning constant: past 2 * _PREFIX samples fit first
+# guesses the degree from the first _PREFIX, and the scan tests its deepest row
+# before any other.  On 250-500 samples of degree <= 5 (CPython 3.11, fit's time
+# against the full scan) a prefix of 16 and of 32 both took 0.64-0.66, 64 took 0.69-0.71.
+_PREFIX = 32
 
 
 def _deepest_row_is_constant(ints: list[int], min_witnesses: int) -> bool:
@@ -144,19 +142,6 @@ def _deepest_row_is_constant(ints: list[int], min_witnesses: int) -> bool:
     return not any(sum(map(mul, signed, ints[i:])) for i in range(min_witnesses - 1))
 
 
-def _rows_rejecting_early(ints: list[int], min_witnesses: int) -> Iterator[list[int]]:
-    """_difference_rows(ints), but after _DEEPEST_ROW_TEST_DEPTH rows raise
-    NotPolynomialError if the deepest row the scan could reach is not
-    constant: a constant row makes every deeper row constant, so then no
-    row is, and the full scan would raise the same error."""
-    deepest = len(ints) - min_witnesses
-    rows = _difference_rows(ints)
-    yield from islice(rows, _DEEPEST_ROW_TEST_DEPTH)
-    if deepest > _DEEPEST_ROW_TEST_DEPTH and not _deepest_row_is_constant(ints, min_witnesses):
-        raise _not_polynomial(min_witnesses, deepest)
-    yield from rows
-
-
 def detect_degree(table: DifferenceTable, min_witnesses: int = 2) -> DegreeReport:
     """Find the shallowest constant row with at least min_witnesses entries.
 
@@ -173,10 +158,10 @@ def scan_degree(values, min_witnesses: int = 2) -> tuple[DegreeReport, tuple[Rat
     building rows only down to the first constant one.
 
     Holds one row at a time: O(m) memory and O(m * (degree + 1)) integer
-    operations for m values.  When the first _DEEPEST_ROW_TEST_DEPTH rows are
-    not constant, one direct test of the deepest row decides whether any row
-    is, so non-polynomial input costs O(m * (depth + min_witnesses)), not
-    O(m^2).
+    operations for m values.  With m > 2 * _PREFIX values, one direct test
+    of the deepest row with min_witnesses entries, O(m * min_witnesses)
+    work, first decides whether any row is constant, so non-polynomial
+    input costs that, not O(m^2).
     """
     denominator, ints = common_denominator(tuple(values))
     report, diagonal = scan_degree_scaled(denominator, ints, min_witnesses=min_witnesses)
@@ -187,12 +172,49 @@ def scan_degree_scaled(denominator: int, ints: list[int],
                        min_witnesses: int = 2) -> tuple[DegreeReport, list[int]]:
     """scan_degree over values given as common_denominator(values) returns
     them, ints[i] = denominator * values[i]; the diagonal entries it returns
-    are integers over the same denominator."""
+    are integers over the same denominator.
+
+    Past 2 * _PREFIX values it first tests row m - min_witnesses, the deepest
+    it could reach: a constant row makes every deeper row constant, so if that
+    row is not constant, no row is.  Up to that it builds at most m(m+1)/2 cells.
+    """
     _check_degree_args(len(ints), min_witnesses)
-    diagonal, row = _scan(_rows_rejecting_early(ints, min_witnesses), min_witnesses)
+    m = len(ints)
+    if m > 2 * _PREFIX and m >= min_witnesses and not _deepest_row_is_constant(ints, min_witnesses):
+        raise _not_polynomial(min_witnesses, m - min_witnesses)
+    diagonal, row = _scan(_difference_rows(ints), min_witnesses)
     report = DegreeReport(
         degree=len(diagonal) - 1,
         constant_row_value=Rational(row[0], denominator),
         witnesses=len(row),
     )
     return report, diagonal
+
+
+def _degree_candidates(denominator: int, ints: list[int],
+                       min_witnesses: int) -> Iterator[tuple[DegreeReport, list[int]]]:
+    """(report, diagonal) pairs, as scan_degree_scaled returns them, for fit to
+    check against every sample in turn: with m > 2 * _PREFIX values, first a
+    guess read off the first _PREFIX values only, then scan_degree_scaled's
+    answer.
+
+    The guess is the first constant row, at depth d, among the difference
+    rows of ints[:_PREFIX] with at least 2 entries, and is yielded only when
+    m - d >= min_witnesses, with m - d witnesses.  It is exact whenever its
+    polynomial reproduces all m samples.  The prefix rows are prefixes of the
+    full rows, so then full row d is constant with m - d entries (Newton's
+    forward formula), and every full row above d holds a non-constant prefix
+    row of at least 3 entries: the full scan would stop at row d with the
+    same diagonal.  When m - d < min_witnesses and the samples do lie on the
+    guess's polynomial, row m - min_witnesses < d is not constant, and
+    scan_degree_scaled's up-front test of that row rejects the input at once.
+    """
+    _check_degree_args(len(ints), min_witnesses)
+    m = len(ints)
+    if m > 2 * _PREFIX:
+        diagonal, row = _first_constant_row(_difference_rows(ints[:_PREFIX]), 2)
+        d = len(diagonal) - 1
+        if row is not None and m - d >= min_witnesses:
+            yield DegreeReport(degree=d, constant_row_value=Rational(row[0], denominator),
+                               witnesses=m - d), diagonal
+    yield scan_degree_scaled(denominator, ints, min_witnesses)

@@ -15,8 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import factorial, gcd
 
-from .difftable import (DegreeReport, _check_degree_args, _difference_rows, _first_constant_row,
-                        _newton_values, scan_degree_scaled)
+from .difftable import DegreeReport, _degree_candidates, _newton_values
 from .errors import DomainError, InconsistentSequenceError
 from .numeric import Rational, common_denominator
 from .triangles import awnt  # noqa: F401 -- unused here, kept for importers of seqfit.solver.awnt
@@ -167,14 +166,6 @@ def _first_miss(poly: tuple[int, list[int]], samples: tuple[int, list[int]],
     return len(ints)
 
 
-# With more than 2 * _PREFIX samples, fit() first reads the degree off the
-# difference rows of the first _PREFIX samples only (see fit), which finds
-# degrees up to _PREFIX - min_witnesses.  On 250-500 samples of degree <= 5
-# (CPython 3.11, time against the full scan) 16 and 32 both took 0.64-0.66,
-# 64 took 0.69-0.71.
-_PREFIX = 32
-
-
 def _solve_and_check(samples: tuple[int, list[int]], diagonal: list[int], shift: int,
                      grid: tuple[int, int, int]):
     """poly_in_g from diagonal (integers over samples[0], entries 0..d), poly_in_x
@@ -223,16 +214,10 @@ def fit(values, map: AffineMap, convention: str = "start_zero",
     by Newton's running sums of the diagonal past them (the argument is at
     _solve_and_check).  A failure reports the first sample either misses.
 
-    With m > 2 * _PREFIX samples the degree is first read off the plain
-    difference rows of the first _PREFIX samples: O(_PREFIX * d) work, plus
-    O(m * d) additions for the every-sample check.  That is exact.  The
-    prefix rows are prefixes of the full rows, so if the polynomial solved
-    from a constant prefix row d reproduces all m samples, full row d is
-    constant with m - d entries and every full row above it holds a
-    non-constant prefix row: the full scan would stop at the same row with
-    the same diagonal.  If it misses a sample, full row d is not constant
-    (Newton's forward formula would make the samples equal it), and the full
-    scan, with its early rejection, gives the outcome.
+    The degree comes from difftable._degree_candidates: with many samples
+    a guess read off a prefix, then the full scan; the first candidate whose
+    polynomial reproduces every sample is the answer (the argument that it
+    is exact is at _degree_candidates).
     """
     values = tuple(values)
     if len(values) < 2:
@@ -245,21 +230,10 @@ def fit(values, map: AffineMap, convention: str = "start_zero",
     grid = _grid(map.x0, map.h)
     index_map = AffineMap(x0=map.x0 - shift * map.h, h=map.h)
 
-    if len(ints) > 2 * _PREFIX:
-        _check_degree_args(len(ints), min_witnesses)
-        diagonal, row = _first_constant_row(_difference_rows(ints[:_PREFIX]), min_witnesses)
-        if row is not None:
-            poly_in_g, poly_in_x, i = _solve_and_check(samples, diagonal, shift, grid)
-            if i == len(ints):
-                d = len(diagonal) - 1
-                report = DegreeReport(degree=d, constant_row_value=Rational(row[0], den),
-                                      witnesses=len(ints) - d)
-                return FitResult(_polynomial(*poly_in_g), _polynomial(*poly_in_x), index_map, report)
-
-    report, diagonal = scan_degree_scaled(den, ints, min_witnesses=min_witnesses)
-    poly_in_g, poly_in_x, i = _solve_and_check(samples, diagonal, shift, grid)
-    if i < len(ints):
-        raise InconsistentSequenceError(
-            f"fitted polynomial does not reproduce sample {i} (x={map.x0 + i * map.h})"
-        )
-    return FitResult(_polynomial(*poly_in_g), _polynomial(*poly_in_x), index_map, report)
+    for report, diagonal in _degree_candidates(den, ints, min_witnesses):
+        poly_in_g, poly_in_x, i = _solve_and_check(samples, diagonal, shift, grid)
+        if i == len(ints):
+            return FitResult(_polynomial(*poly_in_g), _polynomial(*poly_in_x), index_map, report)
+    raise InconsistentSequenceError(
+        f"fitted polynomial does not reproduce sample {i} (x={map.x0 + i * map.h})"
+    )

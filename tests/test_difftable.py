@@ -153,14 +153,13 @@ def perturbed(values, where, q):
     return [v + Fraction(1, q) if i == index else v for i, v in enumerate(values)]
 
 
-DEPTH = difftable._DEEPEST_ROW_TEST_DEPTH
-coefficients = st.lists(rationals, min_size=1, max_size=DEPTH + 8).filter(lambda c: c[-1])
+coefficients = st.lists(rationals, min_size=1, max_size=14).filter(lambda c: c[-1])
 
 
 @st.composite
 def scan_cases(draw):
-    """(values, min_witnesses): m up to ~40, min_witnesses 2-5, degrees at and
-    past the test depth, one sample moved, and m close to min_witnesses."""
+    """(values, min_witnesses): m up to ~40, min_witnesses 2-5, degrees up to
+    13, one sample moved, and m close to min_witnesses."""
     min_witnesses = draw(st.integers(min_value=2, max_value=5))
     polynomial = st.builds(polynomial_samples, coefficients, rationals, rationals.filter(bool),
                            st.integers(min_value=1, max_value=26))
@@ -174,24 +173,60 @@ def scan_cases(draw):
     return draw(st.one_of(polynomial, deepest_constant, moved, near, noise)), min_witnesses
 
 
+@st.composite
+def long_scan_cases(draw):
+    """(values, min_witnesses): 65-130 values, more than 2 * _PREFIX, so that
+    the scan tests the deepest row first; a polynomial of degree up to 40, the
+    same with one sample moved past the prefix, one polynomial up to a cut past
+    the prefix and another after it, or b^i; min_witnesses 2, 5, 40 or m + 1."""
+    m = draw(st.integers(min_value=2 * difftable._PREFIX + 1, max_value=130))
+    x0, h = draw(rationals), draw(rationals.filter(bool))
+
+    def polynomial():
+        coeffs = draw(st.lists(rationals, min_size=1, max_size=41))
+        return [sum(c * (x0 + i * h) ** j for j, c in enumerate(coeffs)) for i in range(m)]
+
+    kind = draw(st.sampled_from(("polynomial", "moved", "split", "power")))
+    if kind == "power":
+        base = draw(st.integers(min_value=2, max_value=5))
+        values = [Fraction(base**i) for i in range(m)]
+    else:
+        values = polynomial()
+    past_prefix = st.integers(min_value=difftable._PREFIX, max_value=m - 1)
+    if kind == "moved":
+        values[draw(past_prefix)] += Fraction(1, draw(st.integers(1, 9)))
+    elif kind == "split":
+        cut = draw(past_prefix)
+        values[cut:] = polynomial()[cut:]
+    return values, draw(st.sampled_from((2, 5, 40, m + 1)))
+
+
+def assert_scan_matches_the_full_table(values, min_witnesses):
+    table = build_table(values)
+    try:
+        expected = detect_degree(table, min_witnesses=min_witnesses)
+    except NotPolynomialError as full:
+        with pytest.raises(NotPolynomialError) as lazy:
+            scan_degree(values, min_witnesses=min_witnesses)
+        assert str(lazy.value) == str(full)
+        assert lazy.value.deepest_row == full.deepest_row
+        return
+    report, diagonal = scan_degree(values, min_witnesses=min_witnesses)
+    assert report == expected
+    assert diagonal == table.main_diagonal[: report.degree + 1]
+    assert list(diagonal) == [diagonal_direct(values, k) for k in range(report.degree + 1)]
+
+
 class TestScanDegree:
     @settings(max_examples=400, deadline=None)
     @given(scan_cases())
     def test_matches_detect_degree_on_the_full_table(self, case):
-        values, min_witnesses = case
-        table = build_table(values)
-        try:
-            expected = detect_degree(table, min_witnesses=min_witnesses)
-        except NotPolynomialError as full:
-            with pytest.raises(NotPolynomialError) as lazy:
-                scan_degree(values, min_witnesses=min_witnesses)
-            assert str(lazy.value) == str(full)
-            assert lazy.value.deepest_row == full.deepest_row
-            return
-        report, diagonal = scan_degree(values, min_witnesses=min_witnesses)
-        assert report == expected
-        assert diagonal == table.main_diagonal[: report.degree + 1]
-        assert list(diagonal) == [diagonal_direct(values, k) for k in range(report.degree + 1)]
+        assert_scan_matches_the_full_table(*case)
+
+    @settings(max_examples=100, deadline=None)
+    @given(long_scan_cases())
+    def test_long_inputs_match_detect_degree_on_the_full_table(self, case):
+        assert_scan_matches_the_full_table(*case)
 
     @pytest.mark.parametrize("min_witnesses", [2, 5])
     def test_non_polynomial_input_reads_few_rows(self, min_witnesses, monkeypatch):
@@ -211,11 +246,12 @@ class TestScanDegree:
         assert err.value.deepest_row == 500 - min_witnesses
         assert str(err.value).startswith(
             f"no constant row with >= {min_witnesses} entries down to row {500 - min_witnesses};")
-        assert pulled <= DEPTH + 1
+        assert pulled == 0  # the deepest-row test rejects it before any full row is built
 
     def test_high_degree_polynomial_still_fits(self):
-        # past the test depth, the deepest row with 5 entries is row d, constant, so the scan goes on
-        d = DEPTH + 20
+        # past 2 * _PREFIX samples the deepest row with 5 entries is row d, constant,
+        # so the scan goes on after its up-front test
+        d = 2 * difftable._PREFIX
         values = [Fraction(i**d - 3 * i, 7) for i in range(d + 5)]
         report, diagonal = scan_degree(values, min_witnesses=5)
         assert (report.degree, report.witnesses) == (d, 5)

@@ -17,7 +17,7 @@ from seqfit import (
     solve_start_one,
     solve_start_zero,
 )
-from seqfit import solver
+from seqfit import difftable, solver
 from seqfit.difftable import DegreeReport, scan_degree
 from seqfit.errors import DomainError, InconsistentSequenceError, NotPolynomialError
 from seqfit.numeric import common_denominator
@@ -316,7 +316,7 @@ class TestVerification:
         monkeypatch.setattr(solver, "_compose", compose)
         with pytest.raises(InconsistentSequenceError) as raised:
             fit(values, AffineMap(x0, h), convention)
-        assert used["solves"] == (2 if self.M > 2 * solver._PREFIX else 1)
+        assert used["solves"] == (2 if self.M > 2 * difftable._PREFIX else 1)
         g, x = used["g"], used["x"]
         assert len(g.coefficients) == len(x.coefficients) == len(self.TRUE_X)
         expected = next(i for i, v in enumerate(values)
@@ -389,8 +389,8 @@ class TestVerificationDoesNotTrustTheScan:
         samples and the InconsistentSequenceError raised."""
         x0, h = self.GRIDS[grid]
         values = [Polynomial(coefficients=self.TRUE_X)(x0 + i * h) for i in range(m)]
-        real = solver.scan_degree_scaled
-        monkeypatch.setattr(solver, "scan_degree_scaled",
+        real = difftable.scan_degree_scaled
+        monkeypatch.setattr(difftable, "scan_degree_scaled",
                             lambda *args, **kwargs: wrong(*real(*args, **kwargs)))
         with pytest.raises(InconsistentSequenceError) as raised:
             fit(values, AffineMap(x0, h), convention)
@@ -407,7 +407,7 @@ class TestVerificationDoesNotTrustTheScan:
             d = report.degree - 1
             return DegreeReport(d, report.constant_row_value, report.witnesses + 1), diagonal[:d + 1]
 
-        assert m <= 2 * solver._PREFIX
+        assert m <= 2 * difftable._PREFIX
         values, error = self.fit_with_scan(monkeypatch, m, convention, grid, one_lower)
         x0, h = self.GRIDS[grid]
         xs = [x0 + i * h for i in range(m)]
@@ -519,11 +519,11 @@ def long_inputs(draw):
     values = [p(x) for x in xs]
     kind = draw(st.sampled_from(("polynomial", "moved", "two", "power")))
     if kind == "moved":
-        values[draw(st.integers(min_value=solver._PREFIX, max_value=m - 1))] += \
+        values[draw(st.integers(min_value=difftable._PREFIX, max_value=m - 1))] += \
             draw(small_rationals.filter(bool))
     elif kind == "two":
         other = Polynomial(coefficients=tuple(draw(st.lists(small_rationals, min_size=1, max_size=7))))
-        cut = draw(st.integers(min_value=solver._PREFIX, max_value=m - 1))
+        cut = draw(st.integers(min_value=difftable._PREFIX, max_value=m - 1))
         values[cut:] = [other(x) for x in xs[cut:]]
     elif kind == "power":
         base = draw(st.integers(min_value=2, max_value=5))
@@ -533,9 +533,12 @@ def long_inputs(draw):
 
 class TestLongInputs:
     @settings(max_examples=150, deadline=None)
-    @given(long_inputs(), st.sampled_from(("start_zero", "start_one")), st.sampled_from((2, 5)))
-    def test_fit_agrees_with_the_full_scan_and_the_vandermonde_oracle(self, case, convention, w):
+    @given(long_inputs(), st.sampled_from(("start_zero", "start_one")), st.data())
+    def test_fit_agrees_with_the_full_scan_and_the_vandermonde_oracle(self, case, convention, data):
         values, x0, h = case
+        # past _PREFIX, and near m: past m - d for degrees up to 6, where fit skips the prefix guess
+        m = len(values)
+        w = data.draw(st.one_of(st.sampled_from((2, 5, 40)), st.integers(m - 7, m + 1)))
         try:
             report, _ = scan_degree(values, min_witnesses=w)
         except NotPolynomialError as expected:
@@ -553,3 +556,29 @@ class TestLongInputs:
         first = 1 if convention == "start_one" else 0
         indexed = [(first + i, v) for i, v in enumerate(values[:n])]
         assert result.poly_in_g.coefficients == vandermonde_fit(indexed).coefficients
+
+    def test_many_witnesses_need_no_deepest_row_test(self, monkeypatch):
+        # the prefix guess needs 2 entries per row, not min_witnesses, so the
+        # O(min_witnesses * m) test of row m - min_witnesses never runs here
+        tests = 0
+        real = difftable._deepest_row_is_constant
+
+        def counted(*args):
+            nonlocal tests
+            tests += 1
+            return real(*args)
+
+        monkeypatch.setattr(difftable, "_deepest_row_is_constant", counted)
+        values = [Fraction(i**10 - 3 * i) for i in range(4000)]
+        result = fit(values, AffineMap(Fraction(0), Fraction(1)), min_witnesses=2000)
+        assert (result.degree_report.degree, result.degree_report.witnesses) == (10, 3990)
+        assert tests == 0
+
+    @pytest.mark.parametrize("w", [101, 150])
+    def test_more_witnesses_than_samples_reads_down_to_row_minus_one(self, w):
+        values = [Fraction(i**3 - 3 * i) for i in range(100)]
+        with pytest.raises(NotPolynomialError) as raised:
+            fit(values, AffineMap(Fraction(0), Fraction(1)), min_witnesses=w)
+        assert str(raised.value) == (f"no constant row with >= {w} entries down to row -1; "
+                                     "not polynomial within the observed window")
+        assert raised.value.deepest_row == -1
