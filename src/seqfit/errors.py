@@ -32,6 +32,10 @@ class NotPolynomialError(SeqfitError):
 class InconsistentSequenceError(SeqfitError):
     """Sequence data contradicts the detected polynomial degree."""
 
+    def __init__(self, message, sample_index):
+        super().__init__(message)
+        self.sample_index = sample_index
+
 
 class BFileError(SeqfitError):
     """A b-file could not be fetched or parsed."""

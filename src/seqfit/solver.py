@@ -177,7 +177,13 @@ def _solve_and_check(samples: tuple[int, list[int]], diagonal: list[int], shift:
     # the factor d! and powers of b for nothing
     poly_in_g = _lowest_terms(_back_substitute(den, diagonal, shift))
     # the g basis starts at index `shift`: g(x) = (x - x0)/h + shift = (q*x - (a - shift*b))/b
-    poly_in_x = _lowest_terms(_compose(poly_in_g, (a - shift * b, b, q)))
+    if a == shift * b and b == q:
+        # g(x) = x (x0 = shift, h = 1): poly_in_x is poly_in_g at the same
+        # points, so checking both would repeat each comparison; check it once
+        poly_in_x, k = poly_in_g, d + 1
+    else:
+        poly_in_x = _lowest_terms(_compose(poly_in_g, (a - shift * b, b, q)))
+        k = _first_miss(poly_in_g, (den, ints[:d + 1]), (shift, 1, 1))
     # Horner's rule checks poly_in_g at the first d+1 samples and poly_in_x at
     # those, or at all m when m <= 2(d+1); past that, one comparison with the
     # running sums of `diagonal` checks every sample.  That is exact, and as
@@ -194,7 +200,6 @@ def _solve_and_check(samples: tuple[int, list[int]], diagonal: list[int], shift:
     # samples before it to check in x.
     m = len(ints)
     head = m if m <= 2 * (d + 1) else d + 1
-    k = _first_miss(poly_in_g, (den, ints[:d + 1]), (shift, 1, 1))
     i = _first_miss(poly_in_x, (den, ints[:k if k <= d else head]), grid)
     if i == head < m:
         values = _newton_values(diagonal, m)
@@ -213,6 +218,9 @@ def fit(values, map: AffineMap, convention: str = "start_zero",
     first d+1, where matching makes each the polynomial through them, and
     by Newton's running sums of the diagonal past them (the argument is at
     _solve_and_check).  A failure reports the first sample either misses.
+    On the convention's own grid, where g(x) = x, the two are one
+    polynomial at the same points: it is built and checked once, and is
+    both fields of the FitResult.
 
     The degree comes from difftable._degree_candidates: with many samples
     a guess read off a prefix, then the full scan; the first candidate whose
@@ -233,7 +241,10 @@ def fit(values, map: AffineMap, convention: str = "start_zero",
     for report, diagonal in _degree_candidates(den, ints, min_witnesses):
         poly_in_g, poly_in_x, i = _solve_and_check(samples, diagonal, shift, grid)
         if i == len(ints):
-            return FitResult(_polynomial(*poly_in_g), _polynomial(*poly_in_x), index_map, report)
+            in_g = _polynomial(*poly_in_g)
+            in_x = in_g if poly_in_x is poly_in_g else _polynomial(*poly_in_x)
+            return FitResult(in_g, in_x, index_map, report)
     raise InconsistentSequenceError(
-        f"fitted polynomial does not reproduce sample {i} (x={map.x0 + i * map.h})"
+        f"fitted polynomial does not reproduce sample {i} (x={map.x0 + i * map.h})",
+        sample_index=i,
     )

@@ -283,3 +283,43 @@ class TestScanDegree:
             scan_degree([Fraction(1), Fraction(2)], min_witnesses=1)
         with pytest.raises(DomainError, match="length >= 2"):
             scan_degree([Fraction(1)])
+
+
+class TestDeepestRowIsConstant:
+    """difftable._deepest_row_is_constant against the full table, and the
+    order of its sums: those at the two ends of the input first."""
+
+    @staticmethod
+    def cubic(m, where=None):
+        """m samples of i^3 - 2i, one of them (first, middle or last) moved by 1."""
+        values = [Fraction(i**3 - 2 * i) for i in range(m)]
+        return [int(v) for v in (perturbed(values, where, 1) if where else values)]
+
+    @pytest.mark.parametrize("where", [None, "first", "middle", "last"])
+    @pytest.mark.parametrize("min_witnesses", [2, 3, 10, 20, 30, 36, 37, 38, 40])
+    def test_matches_the_full_scan(self, where, min_witnesses):
+        ints = self.cubic(40, where)
+        row = list(difftable._difference_rows(ints))[len(ints) - min_witnesses]
+        assert difftable._deepest_row_is_constant(ints, min_witnesses) == \
+            (row.count(row[0]) == len(row))
+
+    # m = 400 samples; each sum is n + 1 products, n = m - min_witnesses + 1.
+    # In order from i = 0 up, the sample moved at the end would be seen by the
+    # last of min_witnesses - 1 sums, and the middle one (200) by sum 200 - n.
+    @pytest.mark.parametrize("min_witnesses, where, sums", [
+        (200, "first", 1), (200, "middle", 1), (200, "last", 2),  # n = 201: the two ends
+        (300, "first", 1), (300, "middle", 3), (300, "last", 2),  # n = 101: 0, 298, 102, ...
+    ])
+    def test_one_moved_sample_is_seen_within_a_few_sums(
+            self, monkeypatch, min_witnesses, where, sums):
+        products = 0
+
+        def counted(a, b):
+            nonlocal products
+            products += 1
+            return a * b
+
+        monkeypatch.setattr(difftable, "mul", counted)
+        m = 400
+        assert not difftable._deepest_row_is_constant(self.cubic(m, where), min_witnesses)
+        assert products == sums * (m - min_witnesses + 2)

@@ -280,23 +280,37 @@ class TestVerification:
     coefficient is wrong, and reports the first sample either one misses."""
 
     TRUE_X = (Fraction(2, 3), Fraction(-1), Fraction(0), Fraction(5, 2), Fraction(3))  # degree 4
-    GRIDS = {"integer": (Fraction(0), Fraction(1)), "3.3/0.1": (Fraction(33, 10), Fraction(1, 10))}
+    GRIDS = {"integer": (Fraction(0), Fraction(1)), "integer+1": (Fraction(1), Fraction(1)),
+             "integer+2": (Fraction(2), Fraction(1)), "3.3/0.1": (Fraction(33, 10), Fraction(1, 10))}
     M = 12
+    # (convention, grid) pairs for corruptions of poly_in_g: on start_zero's
+    # "integer" and start_one's "integer+1" grids g(x) = x, fit() never
+    # composes, and poly_in_g is poly_in_x too
+    G_CASES = [("start_zero", "integer"), ("start_zero", "3.3/0.1"),
+               ("start_one", "integer"), ("start_one", "3.3/0.1"), ("start_one", "integer+1")]
+    # pairs where fit() composes poly_in_x, so that a corruption of it is seen:
+    # start_zero's integer grid starts at 2
+    X_CASES = [("start_zero", "integer+2"), ("start_zero", "3.3/0.1"),
+               ("start_one", "integer"), ("start_one", "3.3/0.1")]
 
     def run(self, monkeypatch, convention, grid, corrupt_g=None, corrupt_x=None):
         """fit() over M samples with its integer solve (poly_in_g) and its
         integer composition (poly_in_x) replaced by the true polynomial, or by
         corrupt_*(true, roots), where roots are the d points the corruption
         may agree at.  Composition always starts from the true poly_in_g, so a
-        corrupted poly_in_g is seen only by its own check.  Asserts that fit()
-        reports the first sample either polynomial misses, found by rational
-        evaluation at every sample, after trying the prefix degree first when
-        M > 2 * _PREFIX, and returns that index."""
+        corrupted poly_in_g is seen only by its own check.  Where g(x) = x,
+        fit() must not compose at all, and the poly_in_g it solved, corrupted
+        or not, is its poly_in_x.  Asserts that fit() reports the first sample
+        either polynomial misses, found by rational evaluation at every
+        sample, after trying the prefix degree first when M > 2 * _PREFIX,
+        and returns that index."""
         x0, h = self.GRIDS[grid]
         shift = {"start_zero": 0, "start_one": 1}[convention]
+        own_grid = (x0, h) == (shift, 1)
+        assert not (own_grid and corrupt_x)
         values = [Polynomial(coefficients=self.TRUE_X)(x0 + i * h) for i in range(self.M)]
         real_solve, real_compose = solver._back_substitute, solver._compose
-        used = {"solves": 0}
+        used = {"solves": 0, "composes": 0}
 
         def solve(den, diagonal, s):
             assert s == shift
@@ -307,6 +321,7 @@ class TestVerification:
             return common_denominator(used["g"].coefficients)
 
         def compose(poly_in_g, index_grid):
+            used["composes"] += 1
             den, coeffs = real_compose(used["true_g"], index_grid)
             x = Polynomial(coefficients=tuple(Fraction(c, den) for c in coeffs))
             used["x"] = corrupt_x(x, [x0 + i * h for i in range(x.degree)]) if corrupt_x else x
@@ -317,40 +332,38 @@ class TestVerification:
         with pytest.raises(InconsistentSequenceError) as raised:
             fit(values, AffineMap(x0, h), convention)
         assert used["solves"] == (2 if self.M > 2 * difftable._PREFIX else 1)
-        g, x = used["g"], used["x"]
+        assert used["composes"] == (0 if own_grid else used["solves"])
+        g = used["g"]
+        x = g if own_grid else used["x"]
         assert len(g.coefficients) == len(x.coefficients) == len(self.TRUE_X)
         expected = next(i for i, v in enumerate(values)
                         if g(Fraction(shift + i)) != v or x(x0 + i * h) != v)
         assert str(raised.value) == \
             f"fitted polynomial does not reproduce sample {expected} (x={x0 + expected * h})"
+        assert raised.value.sample_index == expected
         return expected
 
-    @pytest.mark.parametrize("grid", list(GRIDS))
-    @pytest.mark.parametrize("convention", ["start_zero", "start_one"])
+    @pytest.mark.parametrize("convention, grid", G_CASES)
     @pytest.mark.parametrize("k", range(5))
     def test_any_wrong_coefficient_of_poly_in_g_is_rejected(self, monkeypatch, convention, grid, k):
         self.run(monkeypatch, convention, grid, corrupt_g=off_at(k))
 
-    @pytest.mark.parametrize("grid", list(GRIDS))
-    @pytest.mark.parametrize("convention", ["start_zero", "start_one"])
+    @pytest.mark.parametrize("convention, grid", X_CASES)
     @pytest.mark.parametrize("k", range(5))
     def test_any_wrong_coefficient_of_poly_in_x_is_rejected(self, monkeypatch, convention, grid, k):
         self.run(monkeypatch, convention, grid, corrupt_x=off_at(k))
 
-    @pytest.mark.parametrize("grid", list(GRIDS))
-    @pytest.mark.parametrize("convention", ["start_zero", "start_one"])
+    @pytest.mark.parametrize("convention, grid", G_CASES)
     def test_poly_in_g_right_at_the_first_d_samples_is_rejected_at_sample_d(
             self, monkeypatch, convention, grid):
         assert self.run(monkeypatch, convention, grid, corrupt_g=agreeing_at) == 4
 
-    @pytest.mark.parametrize("grid", list(GRIDS))
-    @pytest.mark.parametrize("convention", ["start_zero", "start_one"])
+    @pytest.mark.parametrize("convention, grid", X_CASES)
     def test_poly_in_x_right_at_the_first_d_samples_is_rejected_at_sample_d(
             self, monkeypatch, convention, grid):
         assert self.run(monkeypatch, convention, grid, corrupt_x=agreeing_at) == 4
 
-    @pytest.mark.parametrize("grid", list(GRIDS))
-    @pytest.mark.parametrize("convention", ["start_zero", "start_one"])
+    @pytest.mark.parametrize("convention, grid", X_CASES)
     def test_the_first_miss_of_either_polynomial_is_reported(self, monkeypatch, convention, grid):
         # one polynomial misses from sample d on, the other from sample 0 or 1
         assert self.run(monkeypatch, convention, grid,
@@ -378,10 +391,12 @@ class TestVerificationPastThePrefix(TestVerification):
 class TestVerificationDoesNotTrustTheScan:
     """fit() rejects a degree or a diagonal that the scan got wrong, at the
     first sample the polynomial solved from it misses, whether the check past
-    the first d+1 samples is Horner's rule or the diagonal's running sums."""
+    the first d+1 samples is Horner's rule or the diagonal's running sums, and
+    whether or not g(x) = x."""
 
     TRUE_X = TestVerification.TRUE_X  # degree 4
     GRIDS = TestVerification.GRIDS
+    SCAN_GRIDS = ["integer", "integer+1", "3.3/0.1"]
 
     def fit_with_scan(self, monkeypatch, m, convention, grid, wrong):
         """fit() over m samples of TRUE_X with scan_degree_scaled's
@@ -399,7 +414,7 @@ class TestVerificationDoesNotTrustTheScan:
     # m = 6 and 9 are at most 2(d+1) = 10 samples, 9 and 40 more than
     # 2(d'+1) = 8 for the claimed degree d' = 3; all are at most 2 * _PREFIX
     @pytest.mark.parametrize("m", [6, 9, 40])
-    @pytest.mark.parametrize("grid", list(GRIDS))
+    @pytest.mark.parametrize("grid", SCAN_GRIDS)
     @pytest.mark.parametrize("convention", ["start_zero", "start_one"])
     def test_a_degree_too_low_is_rejected_where_its_polynomial_misses(
             self, monkeypatch, m, convention, grid):
@@ -415,9 +430,10 @@ class TestVerificationDoesNotTrustTheScan:
         expected = next(i for i, (x, v) in enumerate(zip(xs, values)) if claimed(x) != v)
         assert str(error) == \
             f"fitted polynomial does not reproduce sample {expected} (x={xs[expected]})"
+        assert error.sample_index == expected
 
     @pytest.mark.parametrize("m", [6, 40])
-    @pytest.mark.parametrize("grid", list(GRIDS))
+    @pytest.mark.parametrize("grid", SCAN_GRIDS)
     @pytest.mark.parametrize("convention", ["start_zero", "start_one"])
     def test_a_wrong_first_diagonal_entry_is_rejected_at_sample_0(
             self, monkeypatch, m, convention, grid):
@@ -427,6 +443,7 @@ class TestVerificationDoesNotTrustTheScan:
         _, error = self.fit_with_scan(monkeypatch, m, convention, grid, off_by_one)
         x0 = self.GRIDS[grid][0]
         assert str(error) == f"fitted polynomial does not reproduce sample 0 (x={x0})"
+        assert error.sample_index == 0
 
 
 # Per-cell back-substitution straight from the triangle definitions, with the
@@ -504,6 +521,59 @@ class TestSolverProperties:
         first = 1 if convention == "start_one" else 0
         indexed = [(first + i, v) for i, v in enumerate(values)]
         assert result.poly_in_g.coefficients == vandermonde_fit(indexed).coefficients
+
+
+class TestTheConventionsOwnGrid:
+    """On the grid x0 = s, h = 1 (s = 0 for start_zero, 1 for start_one),
+    g(x) = x and fit() returns one polynomial as both poly_in_g and poly_in_x;
+    on the grids next to it, it composes, and both match the oracle."""
+
+    TRUE_X = TestVerification.TRUE_X  # degree 4
+
+    @pytest.mark.parametrize("m", [12, 80])  # both sides of the prefix guess
+    @pytest.mark.parametrize("convention, x0, h", [
+        ("start_zero", 0, 2), ("start_zero", 0, Fraction(1, 2)), ("start_zero", 0, -1),
+        ("start_one", 1, 2), ("start_one", 1, Fraction(1, 2)), ("start_one", 1, -1),
+        ("start_one", 0, 1), ("start_zero", 1, 1),
+    ])
+    def test_grids_next_to_it_match_the_vandermonde_oracle(self, m, convention, x0, h):
+        xs = [x0 + i * h for i in range(m)]
+        values = [Polynomial(coefficients=self.TRUE_X)(Fraction(x)) for x in xs]
+        result = fit(values, AffineMap(Fraction(x0), Fraction(h)), convention)
+        n = len(self.TRUE_X) + 1  # d + 2 samples fix the polynomial; fit() checked the rest
+        assert result.poly_in_x.coefficients == vandermonde_fit(zip(xs[:n], values)).coefficients
+        first = 1 if convention == "start_one" else 0
+        indexed = [(first + i, v) for i, v in enumerate(values[:n])]
+        assert result.poly_in_g.coefficients == vandermonde_fit(indexed).coefficients
+        assert result.poly_in_x != result.poly_in_g
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(small_rationals, min_size=1, max_size=7), st.integers(min_value=1, max_value=90),
+           st.sampled_from(("start_zero", "start_one")), st.data())
+    def test_one_polynomial_is_both_and_matches_the_oracle(self, coeffs, extra, convention, data):
+        # past 2 * _PREFIX samples, one may be moved past the prefix, where only
+        # a check of every sample sees it
+        s = 1 if convention == "start_one" else 0
+        m = len(coeffs) + extra
+        values = [Polynomial(coefficients=tuple(coeffs))(Fraction(s + i)) for i in range(m)]
+        if m > 2 * difftable._PREFIX and data.draw(st.booleans()):
+            values[data.draw(st.integers(difftable._PREFIX, m - 1))] += \
+                data.draw(small_rationals.filter(bool))
+        own_grid = AffineMap(Fraction(s), Fraction(1))
+        try:
+            report, _ = scan_degree(values)
+        except NotPolynomialError as expected:
+            with pytest.raises(NotPolynomialError) as raised:
+                fit(values, own_grid, convention)
+            assert str(raised.value) == str(expected)
+            return
+        result = fit(values, own_grid, convention)
+        assert result.degree_report == report
+        assert result.poly_in_x == result.poly_in_g
+        n = report.degree + 2
+        oracle = vandermonde_fit((s + i, v) for i, v in enumerate(values[:n])).coefficients
+        assert result.poly_in_g.coefficients == oracle
+        assert result.poly_in_x.coefficients == oracle
 
 
 @st.composite
