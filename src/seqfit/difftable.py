@@ -11,8 +11,8 @@ only turned back into Rationals where a caller sees them.
 """
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Iterator
-from dataclasses import dataclass
 from itertools import accumulate
 from operator import mul
 
@@ -20,20 +20,17 @@ from .errors import DomainError, NotPolynomialError
 from .numeric import Rational, binomial, common_denominator
 
 
-@dataclass(frozen=True)
-class DifferenceTable:
-    rows: tuple[tuple[Rational, ...], ...]
+class DifferenceTable(namedtuple("DifferenceTable", "rows")):
+    # rows: tuple[tuple[Rational, ...], ...], row 0 the values
+    __slots__ = ()
 
     @property
     def main_diagonal(self) -> tuple[Rational, ...]:
         return tuple(row[0] for row in self.rows)
 
 
-@dataclass(frozen=True)
-class DegreeReport:
-    degree: int
-    constant_row_value: Rational
-    witnesses: int
+# degree: int; constant_row_value: Rational; witnesses: int, the entries of that row
+DegreeReport = namedtuple("DegreeReport", "degree constant_row_value witnesses")
 
 
 def _difference_rows(row: list[int]) -> Iterator[list[int]]:

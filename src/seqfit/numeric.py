@@ -70,10 +70,12 @@ def common_denominator(values) -> tuple[int, list[int]]:
         if not issubclass(kind, numbers.Rational):
             raise DomainError(f"values must be exact rationals (int or Fraction), not {kind.__name__}")
     ratios = [v.as_integer_ratio() for v in values]
-    den = math.lcm(*[q for _, q in ratios])
+    dens = {q for _, q in ratios}
+    den = math.lcm(*dens)
     if den == 1:
         return 1, [p for p, _ in ratios]
-    return den, [p * (den // q) for p, q in ratios]
+    factor = {q: den // q for q in dens}  # one division per distinct denominator
+    return den, [p * factor[q] for p, q in ratios]
 
 
 def _pow10_scale(den: int) -> int | None:

@@ -12,7 +12,7 @@ so the cross-check uses the direct row order for both sequences.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from importlib import resources
 from itertools import count
 
@@ -26,21 +26,17 @@ _LINE_RE = re.compile(r"(-?\d+)\s+(-?\d+)\Z")
 TRIANGLE_KINDS = {"A019538": TriangleKind.AWNT, "A028246": TriangleKind.MWNT}
 
 
-@dataclass(frozen=True)
-class BFile:
-    sequence_id: str
-    entries: tuple[tuple[int, int], ...]
+class BFile(namedtuple("BFile", "sequence_id entries")):
+    # sequence_id: str; entries: tuple of (index, value) int pairs
+    __slots__ = ()
 
     def serialize(self) -> str:
         return "".join(f"{i} {v}\n" for i, v in self.entries)
 
 
-@dataclass(frozen=True)
-class CrosscheckReport:
-    kind: TriangleKind
-    cells_checked: int
-    matched: int
-    first_mismatch: tuple[int, int, int, int] | None  # (n, k, ours, theirs)
+class CrosscheckReport(namedtuple("CrosscheckReport", "kind cells_checked matched first_mismatch")):
+    # kind: TriangleKind; cells_checked, matched: int; first_mismatch: (n, k, ours, theirs) or None
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:

@@ -12,7 +12,7 @@ indexes with g(x) = (x - x0)/h, solving in the g basis, and composing back.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import factorial, gcd
 
 from .difftable import DegreeReport, _degree_candidates, _newton_values
@@ -22,11 +22,10 @@ from .triangles import awnt  # noqa: F401 -- unused here, kept for importers of 
 from .triangles import stirling_table
 
 
-@dataclass(frozen=True)
-class Polynomial:
+class Polynomial(namedtuple("Polynomial", "coefficients")):
     """Dense coefficients c_0..c_d, index = power; evaluation uses 0^0 = 1."""
 
-    coefficients: tuple[Rational, ...]
+    __slots__ = ()
 
     @property
     def degree(self) -> int:
@@ -39,27 +38,27 @@ class Polynomial:
         return result
 
 
-@dataclass(frozen=True)
-class AffineMap:
+class AffineMap(namedtuple("AffineMap", "x0 h")):
     """Index remap g(x) = (x - x0)/h; g(x0) = 0, g(x0 + h) = 1."""
 
-    x0: Rational
-    h: Rational
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.h == 0:
+    def __new__(cls, x0: Rational, h: Rational):
+        if h == 0:
             raise DomainError("affine map step h must be nonzero")
+        return tuple.__new__(cls, (x0, h))
+
+    @classmethod
+    def _make(cls, iterable):  # _replace builds through _make: keep the h != 0 check
+        return cls(*iterable)
 
     def __call__(self, x: Rational) -> Rational:
         return (x - self.x0) / self.h
 
 
-@dataclass(frozen=True)
-class FitResult:
-    poly_in_g: Polynomial
-    poly_in_x: Polynomial
-    index_map: AffineMap  # g(x) = (x - x0)/h on the input grid, x0 moved back one h for start_one
-    degree_report: DegreeReport
+# poly_in_g, poly_in_x: Polynomial; degree_report: DegreeReport; index_map: AffineMap,
+# g(x) = (x - x0)/h on the input grid, x0 moved back one h for start_one
+FitResult = namedtuple("FitResult", "poly_in_g poly_in_x index_map degree_report")
 
 
 # Polynomials and samples travel between the steps of a fit in the form

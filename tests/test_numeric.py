@@ -1,5 +1,7 @@
+import math
 import random
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 
 from seqfit import binomial, format_scalar, parse_scalar
 from seqfit.errors import DomainError, ScalarParseError, SeqfitError, ZeroDenominatorError
+from seqfit.numeric import common_denominator
 
 
 class TestParseScalar:
@@ -94,6 +97,32 @@ class TestBinomial:
     def test_negative_arguments_rejected(self):
         with pytest.raises(ValueError):
             binomial(-1, 0)
+
+
+class TestCommonDenominator:
+    exact = st.one_of(
+        st.integers(-10**30, 10**30),
+        st.booleans(),
+        st.fractions(max_denominator=10**6),
+        st.builds(Fraction, st.integers(-10**30, 10**30), st.sampled_from([1, 2, 3, 4, 6, 10, 12, 10**9 + 7])),
+    )
+
+    @given(st.lists(exact, max_size=40) | st.lists(st.integers(), max_size=40))
+    def test_lcm_of_reduced_denominators_and_exact_numerators(self, values):
+        den, ints = common_denominator(values)
+        assert den == math.lcm(*(Fraction(v).denominator for v in values))
+        assert len(ints) == len(values)
+        assert all(isinstance(n, int) for n in ints)
+        assert all(n == v * den for n, v in zip(ints, values))
+
+    def test_example(self):
+        assert common_denominator([Fraction(1, 6), 2, True, Fraction(-3, 4)]) == (12, [2, 24, 12, -9])
+
+    @pytest.mark.parametrize("value, name", [(0.5, "float"), (Decimal("0.5"), "Decimal")])
+    def test_inexact_value_rejected(self, value, name):
+        with pytest.raises(DomainError) as err:
+            common_denominator([1, Fraction(1, 2), value])
+        assert str(err.value) == f"values must be exact rationals (int or Fraction), not {name}"
 
 
 def test_rational_arithmetic_is_exact():
