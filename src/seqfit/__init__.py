@@ -6,9 +6,9 @@ by back-substitution against Worpitzky number triangles, all in exact
 rational arithmetic.
 """
 
-from .difftable import DegreeReport, DifferenceTable, build_table, detect_degree
+from .difftable import DegreeReport
 from .numeric import Rational, binomial, format_scalar, parse_scalar
-from .solver import AffineMap, FitResult, Polynomial, compose_affine, fit, solve_start_one, solve_start_zero
+from .solver import AffineMap, FitResult, Polynomial, fit, solve_start_one, solve_start_zero
 from .triangles import TriangleKind, awnt, build_triangle, mwnt, stirling2
 
 __version__ = "0.1.0"
@@ -16,17 +16,13 @@ __version__ = "0.1.0"
 __all__ = [
     "AffineMap",
     "DegreeReport",
-    "DifferenceTable",
     "FitResult",
     "Polynomial",
     "Rational",
     "TriangleKind",
     "awnt",
     "binomial",
-    "build_table",
     "build_triangle",
-    "compose_affine",
-    "detect_degree",
     "fit",
     "format_scalar",
     "mwnt",

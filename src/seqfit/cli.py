@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import sys
 from collections.abc import Iterable, Iterator
+from math import factorial
 
 import click
 
@@ -171,7 +172,12 @@ def _format_table(den: int, ints: list[int], degree, fmt: str) -> str:
 def triangle_cmd(kind, rows, fmt):
     """Print a number triangle with the given number of rows."""
     kind = TriangleKind(kind)
-    try:  # no column shrinks as n grows, so if the widest cell prints, every cell does
+    try:
+        # the diagonal cell, rows! or (rows-1)!, is no wider than the widest:
+        # if it cannot print, reject before building any row
+        if kind is not TriangleKind.STIRLING2:
+            format_scalar(factorial(rows - (kind is TriangleKind.MWNT)))
+        # no column shrinks as n grows, so if the widest cell prints, every cell does
         format_scalar(max(last_row(kind, rows)))
     except DomainError as exc:
         _fail("format", exc)

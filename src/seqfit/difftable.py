@@ -1,4 +1,4 @@
-"""Difference tables, main diagonals, and degree detection.
+"""Difference rows, main diagonals, and degree detection.
 
 Row 0 holds the sequence values; row r+1 holds successive differences of
 row r.  The main diagonal is the leftmost entry of each row.  A sequence
@@ -17,16 +17,7 @@ from itertools import accumulate
 from operator import mul
 
 from .errors import DomainError, NotPolynomialError
-from .numeric import Rational, binomial, common_denominator
-
-
-class DifferenceTable(namedtuple("DifferenceTable", "rows")):
-    # rows: tuple[tuple[Rational, ...], ...], row 0 the values
-    __slots__ = ()
-
-    @property
-    def main_diagonal(self) -> tuple[Rational, ...]:
-        return tuple(row[0] for row in self.rows)
+from .numeric import Rational
 
 
 # degree: int; constant_row_value: Rational; witnesses: int, the entries of that row
@@ -52,46 +43,11 @@ def _newton_values(diagonal: list[int], m: int) -> list[int]:
     return list(values)
 
 
-def build_table(values) -> DifferenceTable:
-    """Build all rows down to the single-entry row."""
-    values = tuple(values)
-    if not values:
-        raise DomainError("sequence must have at least one value")
-    denominator, ints = common_denominator(values)
-    return DifferenceTable(rows=tuple(
-        tuple(Rational(n, denominator) for n in row) for row in _difference_rows(ints)
-    ))
-
-
-def diagonal_direct(values, k: int) -> Rational:
-    """k-th main diagonal entry via the closed binomial form.
-
-    D_k = sum_{i=0}^{k} (-1)^(k-i) C(k,i) a_i.  Independent of build_table;
-    used to cross-check table construction.
-    """
-    values = tuple(values)
-    if not 0 <= k < len(values):
-        raise DomainError(f"diagonal index {k} out of range for length {len(values)}")
-    total = Rational(0)
-    for i in range(k + 1):
-        term = binomial(k, i) * values[i]
-        total += term if (k - i) % 2 == 0 else -term
-    return total
-
-
 def _check_degree_args(length: int, min_witnesses: int):
     if min_witnesses < 2:
         raise DomainError("min_witnesses must be >= 2")
     if length < 2:
         raise DomainError("degree detection needs a sequence of length >= 2")
-
-
-def _not_polynomial(min_witnesses: int, deepest: int) -> NotPolynomialError:
-    return NotPolynomialError(
-        f"no constant row with >= {min_witnesses} entries down to row {deepest}; "
-        "not polynomial within the observed window",
-        deepest_row=deepest,
-    )
 
 
 def _first_constant_row(rows, min_witnesses: int):
@@ -106,14 +62,6 @@ def _first_constant_row(rows, min_witnesses: int):
         if row.count(row[0]) == len(row):
             return diagonal, row
     return diagonal, None
-
-
-def _scan(rows, min_witnesses: int):
-    """_first_constant_row, raising NotPolynomialError when no row is constant."""
-    diagonal, row = _first_constant_row(rows, min_witnesses)
-    if row is None:
-        raise _not_polynomial(min_witnesses, len(diagonal) - 1)
-    return diagonal, row
 
 
 # The degree search's one tuning constant: past 2 * _PREFIX samples fit first
@@ -145,47 +93,33 @@ def _deepest_row_is_constant(ints: list[int], min_witnesses: int) -> bool:
     return not any(sum(map(mul, signed, ints[i:])) for i in order)
 
 
-def detect_degree(table: DifferenceTable, min_witnesses: int = 2) -> DegreeReport:
-    """Find the shallowest constant row with at least min_witnesses entries.
-
-    Raises NotPolynomialError (carrying the deepest row inspected) when no
-    such row exists within the observed window.
-    """
-    _check_degree_args(len(table.rows[0]), min_witnesses)
-    diagonal, row = _scan(table.rows, min_witnesses)
-    return DegreeReport(degree=len(diagonal) - 1, constant_row_value=row[0], witnesses=len(row))
-
-
-def scan_degree(values, min_witnesses: int = 2) -> tuple[DegreeReport, tuple[Rational, ...]]:
-    """detect_degree(build_table(values)) and main-diagonal entries 0..degree,
-    building rows only down to the first constant one.
-
-    Holds one row at a time: O(m) memory and O(m * (degree + 1)) integer
-    operations for m values.  With m > 2 * _PREFIX values, one direct test
-    of the deepest row with min_witnesses entries, O(m * min_witnesses)
-    work, first decides whether any row is constant, so non-polynomial
-    input costs that, not O(m^2).
-    """
-    denominator, ints = common_denominator(tuple(values))
-    report, diagonal = scan_degree_scaled(denominator, ints, min_witnesses=min_witnesses)
-    return report, tuple(Rational(n, denominator) for n in diagonal)
-
-
 def scan_degree_scaled(denominator: int, ints: list[int],
                        min_witnesses: int = 2) -> tuple[DegreeReport, list[int]]:
-    """scan_degree over values given as common_denominator(values) returns
-    them, ints[i] = denominator * values[i]; the diagonal entries it returns
-    are integers over the same denominator.
+    """The shallowest constant difference row with at least min_witnesses
+    entries, and main-diagonal entries 0..degree, for values given as
+    common_denominator(values) returns them, ints[i] = denominator * values[i];
+    the diagonal entries are integers over the same denominator.
 
-    Past 2 * _PREFIX values it first tests row m - min_witnesses, the deepest
-    it could reach: a constant row makes every deeper row constant, so if that
-    row is not constant, no row is.  Up to that it builds at most m(m+1)/2 cells.
+    Rows are built one at a time down to the first constant one: O(m) memory
+    and O(m * (degree + 1)) integer operations for m values.  Past 2 * _PREFIX
+    values it first tests row m - min_witnesses, the deepest it could reach,
+    in O(m * min_witnesses): a constant row makes every deeper row constant,
+    so if that row is not constant, no row is, and non-polynomial input costs
+    that, not O(m^2).  Raises NotPolynomialError, carrying the deepest row
+    with min_witnesses entries (-1 when there is none), when no row is constant.
     """
-    _check_degree_args(len(ints), min_witnesses)
     m = len(ints)
-    if m > 2 * _PREFIX and m >= min_witnesses and not _deepest_row_is_constant(ints, min_witnesses):
-        raise _not_polynomial(min_witnesses, m - min_witnesses)
-    diagonal, row = _scan(_difference_rows(ints), min_witnesses)
+    _check_degree_args(m, min_witnesses)
+    row = None
+    if m <= 2 * _PREFIX or m < min_witnesses or _deepest_row_is_constant(ints, min_witnesses):
+        diagonal, row = _first_constant_row(_difference_rows(ints), min_witnesses)
+    if row is None:
+        deepest = max(m - min_witnesses, -1)
+        raise NotPolynomialError(
+            f"no constant row with >= {min_witnesses} entries down to row {deepest}; "
+            "not polynomial within the observed window",
+            deepest_row=deepest,
+        )
     report = DegreeReport(
         degree=len(diagonal) - 1,
         constant_row_value=Rational(row[0], denominator),

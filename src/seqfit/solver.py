@@ -52,9 +52,6 @@ class AffineMap(namedtuple("AffineMap", "x0 h")):
     def _make(cls, iterable):  # _replace builds through _make: keep the h != 0 check
         return cls(*iterable)
 
-    def __call__(self, x: Rational) -> Rational:
-        return (x - self.x0) / self.h
-
 
 # poly_in_g, poly_in_x: Polynomial; degree_report: DegreeReport; index_map: AffineMap,
 # g(x) = (x - x0)/h on the input grid, x0 moved back one h for start_one
@@ -117,8 +114,9 @@ def solve_start_one(diagonal, d: int) -> Polynomial:
 
 
 def _compose(poly: tuple[int, list[int]], grid: tuple[int, int, int]) -> tuple[int, list[int]]:
-    """compose_affine in integers: poly = (D, C) of degree d in g, the index
-    of the points of grid (a, b, q), that is g(x) = (q*x - a)/b, as (D*b^d, X) over x."""
+    """p(g(x)) over x, in integers: poly = (D, C) of degree d in g, the index
+    of the points of grid (a, b, q), that is g(x) = (q*x - a)/b, as (D*b^d, X).
+    Horner's rule gives p(g(x)) * D * b^d = sum_j C_j * b^(d-j) * (q*x - a)^j."""
     den, coeffs = poly
     a, b, q = grid
     result: list[int] = []
@@ -130,13 +128,6 @@ def _compose(poly: tuple[int, list[int]], grid: tuple[int, int, int]) -> tuple[i
     while len(result) > 1 and result[-1] == 0:
         result.pop()
     return den * b ** (len(coeffs) - 1), result
-
-
-def compose_affine(poly_in_g: Polynomial, map: AffineMap) -> Polynomial:
-    """Expand p(g(x)) with g(x) = (x - x0)/h into coefficients over x, in integers:
-    with x0 = a/q, h = b/q and coefficients C_j/D, Horner's rule gives
-    p(g(x)) * D * b^d = sum_j C_j * b^(d-j) * (q*x - a)^j."""
-    return _polynomial(*_compose(common_denominator(poly_in_g.coefficients), _grid(map.x0, map.h)))
 
 
 def _first_miss(poly: tuple[int, list[int]], samples: tuple[int, list[int]],

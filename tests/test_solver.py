@@ -10,15 +10,13 @@ from seqfit import (
     AffineMap,
     Polynomial,
     awnt,
-    build_table,
-    compose_affine,
     fit,
     mwnt,
     solve_start_one,
     solve_start_zero,
 )
 from seqfit import difftable, solver
-from seqfit.difftable import DegreeReport, scan_degree
+from seqfit.difftable import DegreeReport
 from seqfit.errors import DomainError, InconsistentSequenceError, NotPolynomialError
 from seqfit.numeric import common_denominator
 from seqfit.oracle import vandermonde_fit
@@ -31,6 +29,7 @@ from conftest import (
     DIAG_START_ONE,
     DIAG_START_ZERO,
 )
+from reference import build_table, compose_affine, scan_degree
 
 
 def poly(*coeffs):
