@@ -13,7 +13,7 @@ from math import factorial
 import click
 
 from . import __version__
-from .difftable import _difference_rows, scan_degree_scaled
+from .difftable import _difference_rows
 from .errors import BFileError, DomainError, ScalarParseError, SeqfitError
 from .numeric import Rational, common_denominator, format_scalar, parse_scalar
 from .solver import AffineMap, fit
@@ -132,37 +132,36 @@ def _format_fit(result, fmt: str) -> str:
 @click.option("--min-witnesses", type=click.IntRange(min=2), default=2)
 def difftable_cmd(input_file, fmt, min_witnesses):
     """Print the difference table of the sequence in INPUT_FILE (or stdin)."""
-    values = _read_values(input_file)
-    den, ints = common_denominator(values)
-    degree = None
+    den, ints = common_denominator(_read_values(input_file))
     try:
-        degree = scan_degree_scaled(den, ints, min_witnesses)[0].degree
-    except SeqfitError:
-        pass  # table output is still useful without a detected degree
-    try:
-        click.echo(_format_table(den, ints, degree, fmt))
+        click.echo(_format_table(den, ints, min_witnesses, fmt))
     except DomainError as exc:
         _fail("format", exc)
 
 
-def _format_table(den: int, ints: list[int], degree, fmt: str) -> str:
+def _format_table(den: int, ints: list[int], min_witnesses: int, fmt: str) -> str:
     """The difference table of ints over den, each integer row formatted as it
-    is made, so only one row of cells is live beside the text."""
-    if fmt == "json":
-        rows, diagonal = [], []
-        for row in _difference_rows(ints):
+    is made, so only one row of cells is live beside the text, and the degree
+    read off the same rows: the first constant one with at least min_witnesses
+    entries, as fit's degree scan finds it, or none."""
+    texts, diagonal, degree = [], [], None
+    for r, row in enumerate(_difference_rows(ints)):
+        if degree is None and len(row) >= min_witnesses and row.count(row[0]) == len(row):
+            degree = r
+        if fmt == "json":
             cells = [f'"{format_scalar(Rational(n, den))}"' for n in row]
             diagonal.append(cells[0])
-            rows.append(_json_list(cells, "    "))
-        return (f'{{\n  "rows": {_json_list(rows, "  ")},\n'
+            texts.append(_json_list(cells, "    "))
+        else:
+            texts.append(f"row {r}: " + "  ".join(
+                format_scalar(Rational(n, den), prefer_decimal=True) for n in row))
+    if fmt == "json":
+        return (f'{{\n  "rows": {_json_list(texts, "  ")},\n'
                 f'  "main_diagonal": {_json_list(diagonal, "  ")},\n'
                 f'  "degree": {"null" if degree is None else degree}\n}}')
-    lines = [f"row {r}: " + "  ".join(format_scalar(Rational(n, den), prefer_decimal=True)
-                                      for n in row)
-             for r, row in enumerate(_difference_rows(ints))]
-    lines.append(f"degree: {degree}" if degree is not None
+    texts.append(f"degree: {degree}" if degree is not None
                  else "degree: not polynomial within observed window")
-    return "\n".join(lines)
+    return "\n".join(texts)
 
 
 @main.command("triangle")

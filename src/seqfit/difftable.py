@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Iterator
 from itertools import accumulate
-from operator import mul
+from operator import add, mul, sub
 
 from .errors import DomainError, NotPolynomialError
 from .numeric import Rational
@@ -28,7 +28,7 @@ def _difference_rows(row: list[int]) -> Iterator[list[int]]:
     """Yield row, then each row of its successive differences, down to one entry."""
     yield row
     while len(row) > 1:
-        row = [b - a for a, b in zip(row, row[1:])]
+        row = list(map(sub, row[1:], row))
         yield row
 
 
@@ -77,20 +77,28 @@ def _deepest_row_is_constant(ints: list[int], min_witnesses: int) -> bool:
 
     It is when its successive differences, the entries
     sum_j (-1)^(n-j) C(n, j) ints[i+j] (i < min_witnesses - 1) of row
-    n = m - min_witnesses + 1, are all zero: O(min_witnesses * m) integer
-    multiply-adds, with the binomials built incrementally.  Sum i reads
+    n = m - min_witnesses + 1, are all zero.  As C(n, j) = C(n, n-j), each sum
+    pairs ints[i+j] with ints[i+n-j], added when n is even and subtracted when
+    n is odd, and is zero when its even-j and odd-j halves agree: n // 2 + 1
+    integer products, with C(n, 0..n // 2) built incrementally.  Sum i reads
     ints[i..i+n], so the sums at the two ends, i = 0 and min_witnesses - 2,
     come first, then those at the other multiples of n + 1: together they
     read every sample, so one moved sample shows within min_witnesses/(n+1)
-    + 2 sums, O(m) multiply-adds, not after every zero sum before it.
+    + 2 sums, O(m) products, not after every zero sum before it.
     """
     n = len(ints) - min_witnesses + 1
-    signed = [1]  # (-1)^j C(n, j) for j = 0..n: the sums up to a common sign
-    for j in range(n):
-        signed.append(-signed[-1] * (n - j) // (j + 1))
+    half = [1]  # C(n, j) for j = 0..n // 2
+    for j in range(n // 2):
+        half.append(half[-1] * (n - j) // (j + 1))
+    pair = sub if n % 2 else add
     last = min_witnesses - 2
     order = sorted(range(last + 1), key=lambda i: (0 < i < last, i % (n + 1) != 0))
-    return not any(sum(map(mul, signed, ints[i:])) for i in order)
+    for i in order:
+        # ints[i+j] paired with ints[i+n-j] for j <= n // 2; an even n's middle term meets the 0
+        terms = list(map(pair, ints[i:i + n // 2 + 1], ints[i + n:i + n // 2:-1] + [0]))
+        if sum(map(mul, half[0::2], terms[0::2])) != sum(map(mul, half[1::2], terms[1::2])):
+            return False
+    return True
 
 
 def scan_degree_scaled(denominator: int, ints: list[int],

@@ -298,11 +298,31 @@ class TestDeepestRowIsConstant:
     @pytest.mark.parametrize("min_witnesses", [2, 3, 10, 20, 30, 36, 37, 38, 40])
     def test_matches_the_full_scan(self, where, min_witnesses):
         ints = self.cubic(40, where)
-        row = list(difftable._difference_rows(ints))[len(ints) - min_witnesses]
+        row = build_table(ints).rows[len(ints) - min_witnesses]
         assert difftable._deepest_row_is_constant(ints, min_witnesses) == \
             (row.count(row[0]) == len(row))
 
-    # m = 400 samples; each sum is n + 1 products, n = m - min_witnesses + 1.
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matches_the_reference_table(self, data):
+        """Up to 150 samples of a polynomial or of b^i (b negative too), one of
+        them perhaps moved, and any min_witnesses from 2 to m, so that
+        n = m - min_witnesses + 1 takes both parities."""
+        m = data.draw(st.integers(min_value=2, max_value=150))
+        if data.draw(st.booleans()):
+            base = data.draw(st.sampled_from((-5, -3, -2, -1, 2, 3, 5)))
+            ints = [base**i for i in range(m)]
+        else:
+            coeffs = data.draw(st.lists(st.integers(-50, 50), min_size=1, max_size=12))
+            ints = [sum(c * i**j for j, c in enumerate(coeffs)) for i in range(m)]
+        if data.draw(st.booleans()):
+            ints[data.draw(st.integers(0, m - 1))] += data.draw(st.sampled_from((-1, 1, 7)))
+        min_witnesses = data.draw(st.integers(min_value=2, max_value=m))
+        row = build_table(ints).rows[m - min_witnesses]
+        assert difftable._deepest_row_is_constant(ints, min_witnesses) == \
+            all(v == row[0] for v in row)
+
+    # m = 400 samples; each sum is n // 2 + 1 products, n = m - min_witnesses + 1.
     # In order from i = 0 up, the sample moved at the end would be seen by the
     # last of min_witnesses - 1 sums, and the middle one (200) by sum 200 - n.
     @pytest.mark.parametrize("min_witnesses, where, sums", [
@@ -321,4 +341,4 @@ class TestDeepestRowIsConstant:
         monkeypatch.setattr(difftable, "mul", counted)
         m = 400
         assert not difftable._deepest_row_is_constant(self.cubic(m, where), min_witnesses)
-        assert products == sums * (m - min_witnesses + 2)
+        assert products == sums * ((m - min_witnesses + 1) // 2 + 1)
