@@ -2,24 +2,216 @@
 
 Exit codes: 0 success, 1 domain errors (non-polynomial data, inconsistency,
 failed verification), 2 usage and input-parse errors.  All errors go to
-stderr; results go to stdout.
+stderr; results go to stdout.  The parser is the standard library's argparse.
 """
 from __future__ import annotations
 
+import argparse
+import os
 import sys
 from collections.abc import Iterable, Iterator
 from math import factorial
-
-import click
 
 from . import __version__
 from .difftable import _difference_rows
 from .errors import BFileError, DomainError, ScalarParseError, SeqfitError
 from .numeric import Rational, common_denominator, format_scalar, parse_scalar
 from .solver import AffineMap, fit
-from .triangles import TriangleKind, last_row, triangle_rows
+from .triangles import TriangleKind, awnt, last_row, mwnt, triangle_rows
 
 _CONVENTIONS = {"auto": "start_zero", "start-zero": "start_zero", "start-one": "start_one"}
+
+# every option that takes a value; --self, --online, --help and --version are flags
+_TAKES_VALUE = frozenset({"--start", "--step", "--convention", "--format", "--min-witnesses",
+                          "--kind", "--rows", "--oeis", "--cells"})
+
+
+class _UsageError(Exception):
+    """A bad command line or input: exit 2, with `Error: <message>` on stderr
+    after the usage of parser (None: the parser of the command that ran)."""
+
+    def __init__(self, message: str, parser: argparse.ArgumentParser | None = None):
+        super().__init__(message)
+        self.parser = parser
+
+
+class _Store(argparse.Action):
+    """argparse's default action, storing one value, except that the value
+    `--` is kept, as click kept it: argparse drops it from `--start=--` and
+    passes [] here (CPython 3.11), so it is converted and checked here."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if values == []:
+            values = parser._get_value(self, "--")
+            parser._check_value(self, values)
+        setattr(namespace, self.dest, values)
+
+
+class _Parser(argparse.ArgumentParser):
+    """Options are spelled out in full, `--help` is the only help option, and
+    errors raise _UsageError instead of exiting."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, add_help=False, **kwargs)
+        self.register("action", None, _Store)
+        self.add_argument("--help", action="help", help="Show this message and exit.")
+
+    def error(self, message):
+        raise _UsageError(message, self)
+
+
+def _open_input(path: str):
+    """INPUT_FILE opened as click.File("r") opened it: a path with the
+    locale's encoding, and '-' as stdin, read as strict UTF-8 when stdin
+    itself would not fail on bad bytes (under the C locale or UTF-8 mode)."""
+    if path != "-":
+        try:
+            return open(path)
+        except OSError as exc:
+            raise _UsageError(f"argument INPUT_FILE: '{path}': {exc.strerror}") from None
+    if sys.stdin.errors != "strict":
+        try:
+            return open(sys.stdin.fileno(), encoding="utf-8", closefd=False)
+        except OSError:  # io.UnsupportedOperation: a stream with no file descriptor
+            pass
+    return sys.stdin
+
+
+def _at_least(low: int):
+    """The type of an integer option no less than low."""
+    def convert(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{text!r} is not a valid integer") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{value} is not in the range x>={low}")
+        return value
+    return convert
+
+
+def _parser() -> _Parser:
+    """The `seqfit` parser; each command's namespace holds its function in
+    `run` and its own parser in `parser`."""
+    parser = _Parser(prog="seqfit", formatter_class=argparse.RawDescriptionHelpFormatter,
+                     description="""\
+Recover exact polynomial coefficients from a sequence of values.
+
+Examples:
+  seqfit fit values.txt --start 0 --step 1        # grid 0, 1, 2, ...
+  seqfit fit values.txt --start 1 --step 1 --convention start-one
+  seqfit fit values.txt --start 3.3 --step 0.1    # arbitrary affine grid""")
+    parser.add_argument("--version", action="version", version=f"seqfit, version {__version__}",
+                        help="Show the version and exit.")
+    commands = parser.add_subparsers(title="commands", dest="command", metavar="COMMAND")
+
+    def command(name: str, run, description: str) -> _Parser:
+        sub = commands.add_parser(name, help=description, description=description)
+        sub.set_defaults(run=run, parser=sub)
+        return sub
+
+    def input_file(sub: _Parser) -> None:
+        sub.add_argument("input_file", metavar="INPUT_FILE", nargs="?", default="-",
+                         help="The values, or '-' for stdin (the default).")
+
+    sub = command("fit", fit_cmd,
+                  "Fit the generating polynomial of the sequence in INPUT_FILE (or stdin).")
+    input_file(sub)
+    sub.add_argument("--start", default="0", help="First grid value x0 (default 0).")
+    sub.add_argument("--step", default="1", help="Constant grid step h (default 1).")
+    sub.add_argument("--convention", choices=sorted(_CONVENTIONS), default="auto",
+                     help="Index convention; auto remaps the grid to indexes 0, 1, 2, ...")
+    sub.add_argument("--format", dest="fmt", choices=["text", "json"], default="text")
+    sub.add_argument("--min-witnesses", type=_at_least(2), default=2,
+                     help="Entries required in the constant row (default 2).")
+
+    sub = command("difftable", difftable_cmd,
+                  "Print the difference table of the sequence in INPUT_FILE (or stdin).")
+    input_file(sub)
+    sub.add_argument("--format", dest="fmt", choices=["table", "json"], default="table")
+    sub.add_argument("--min-witnesses", type=_at_least(2), default=2)
+
+    sub = command("triangle", triangle_cmd, "Print a number triangle with the given number of rows.")
+    sub.add_argument("--kind", choices=["mwnt", "awnt", "stirling2"], required=True)
+    sub.add_argument("--rows", type=_at_least(1), required=True)
+    sub.add_argument("--format", dest="fmt", choices=["table", "json", "bfile"], default="table")
+
+    sub = command("verify", verify_cmd, "Run self-verification suites and OEIS cross-checks.")
+    sub.add_argument("--self", dest="self_check", action="store_true",
+                     help="Run the identity suites.")
+    sub.add_argument("--oeis", dest="oeis_id", help="Cross-check against an OEIS b-file.")
+    sub.add_argument("--online", action="store_true",
+                     help="Fetch the b-file from oeis.org instead of fixtures.")
+    sub.add_argument("--cells", type=_at_least(1), default=45)
+    return parser
+
+
+def _joined(argv: list[str]) -> list[str]:
+    """argv with each option that takes a value joined to the word after it,
+    `--start -1/2` as `--start=-1/2`: an option takes the next word whatever
+    it is, as click read it, where argparse would read `-1/2` as an option."""
+    joined, words = [], iter(argv)
+    for word in words:
+        if word == "--":
+            return [*joined, word, *words]
+        value = next(words, None) if word in _TAKES_VALUE else None
+        joined.append(word if value is None else f"{word}={value}")
+    return joined
+
+
+def _run(argv: list[str]) -> int:
+    """Parse argv, run its command, and return the exit code."""
+    parser = _parser()
+    args = argparse.Namespace(parser=parser)
+    try:
+        try:
+            _, extra = parser.parse_known_args(_joined(argv), args)
+        except SystemExit as exc:  # --help and --version print, then exit 0
+            return exc.code
+        if extra:
+            args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
+        if args.command is None:
+            parser.error("missing command")
+        if "input_file" in args:  # opened before the command runs, as click opened it
+            args.input_file = _open_input(args.input_file)
+        return args.run(args)
+    except _UsageError as exc:
+        parser = exc.parser or args.parser
+        print(f"{parser.format_usage()}Try '{parser.prog} --help' for help.\n\nError: {exc}",
+              file=sys.stderr)
+        return 2
+
+
+class _Main:
+    """The `seqfit` entry point, called as a click command is called:
+    `main()` from the console script and `python -m seqfit.cli`, and
+    `main.main(args, prog_name, standalone_mode)` from click's CliRunner.
+    Both run _run; standalone_mode=False returns its exit code instead of
+    exiting with it."""
+
+    name = "seqfit"
+
+    def __call__(self, *args, **kwargs):
+        return self.main(*args, **kwargs)
+
+    def main(self, args=None, prog_name=None, standalone_mode=True) -> int:
+        """Run args (sys.argv[1:] when None); prog_name is accepted for
+        CliRunner and unused, as usage lines always name `seqfit`."""
+        try:
+            code = _run(sys.argv[1:] if args is None else list(args))
+            sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        except KeyboardInterrupt:
+            print("\nAborted!", file=sys.stderr)
+            code = 1
+        except BrokenPipeError:  # stdout's reader left, as `seqfit triangle ... | head` does
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            code = 1
+        if not standalone_mode:
+            return code
+        sys.exit(code)
+
+
+main = _Main()
 
 
 def _read_values(input_file) -> list[Rational]:
@@ -27,7 +219,10 @@ def _read_values(input_file) -> list[Rational]:
     try:
         text = input_file.read()
     except UnicodeDecodeError as exc:
-        raise click.UsageError(f"input parse: {exc}")
+        raise _UsageError(f"input parse: {exc}") from None
+    finally:
+        if input_file is not sys.stdin:
+            input_file.close()
     values = []
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
@@ -40,15 +235,17 @@ def _read_values(input_file) -> list[Rational]:
             try:
                 values.append(parse_scalar(token))
             except ScalarParseError as exc:
-                raise click.UsageError(f"input parse: {exc}")
+                raise _UsageError(f"input parse: {exc}") from None
     if not values:
-        raise click.UsageError("input contains no values")
+        raise _UsageError("input contains no values")
     return values
 
 
-def _fail(stage: str, exc: Exception):
-    click.echo(f"error ({stage}): {exc}", err=True)
-    sys.exit(1)
+def _fail(stage: str, exc: Exception) -> int:
+    """Report a failed stage on stderr, after what stdout holds; the exit code 1."""
+    sys.stdout.flush()
+    print(f"error ({stage}): {exc}", file=sys.stderr)
+    return 1
 
 
 def _json_list(items: Iterable[str], indent: str) -> str:
@@ -57,50 +254,25 @@ def _json_list(items: Iterable[str], indent: str) -> str:
     return f"[\n{indent}  " + f",\n{indent}  ".join(items) + f"\n{indent}]"
 
 
-@click.group()
-@click.version_option(__version__, prog_name="seqfit")
-def main():
-    """Recover exact polynomial coefficients from a sequence of values.
-
-    \b
-    Examples:
-      seqfit fit values.txt --start 0 --step 1        # grid 0, 1, 2, ...
-      seqfit fit values.txt --start 1 --step 1 --convention start-one
-      seqfit fit values.txt --start 3.3 --step 0.1    # arbitrary affine grid
-    """
-
-
-@main.command("fit")
-@click.argument("input_file", type=click.File("r"), default="-")
-@click.option("--start", default="0", help="First grid value x0 (default 0).")
-@click.option("--step", default="1", help="Constant grid step h (default 1).")
-@click.option(
-    "--convention",
-    type=click.Choice(sorted(_CONVENTIONS)),
-    default="auto",
-    help="Index convention; auto remaps the grid to indexes 0, 1, 2, ...",
-)
-@click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text")
-@click.option("--min-witnesses", type=click.IntRange(min=2), default=2,
-              help="Entries required in the constant row (default 2).")
-def fit_cmd(input_file, start, step, convention, fmt, min_witnesses):
+def fit_cmd(args) -> int:
     """Fit the generating polynomial of the sequence in INPUT_FILE (or stdin)."""
-    values = _read_values(input_file)
+    values = _read_values(args.input_file)
     try:
-        x0, h = parse_scalar(start), parse_scalar(step)
+        x0, h = parse_scalar(args.start), parse_scalar(args.step)
     except ScalarParseError as exc:
-        raise click.UsageError(str(exc))
+        raise _UsageError(str(exc)) from None
     if h == 0:
-        raise click.UsageError("--step must be nonzero")
+        raise _UsageError("--step must be nonzero")
     try:
         result = fit(values, AffineMap(x0=x0, h=h),
-                     convention=_CONVENTIONS[convention], min_witnesses=min_witnesses)
+                     convention=_CONVENTIONS[args.convention], min_witnesses=args.min_witnesses)
     except SeqfitError as exc:
-        _fail("fit", exc)
+        return _fail("fit", exc)
     try:
-        click.echo(_format_fit(result, fmt))
+        print(_format_fit(result, args.fmt))
     except DomainError as exc:
-        _fail("format", exc)
+        return _fail("format", exc)
+    return 0
 
 
 def _format_fit(result, fmt: str) -> str:
@@ -126,35 +298,37 @@ def _format_fit(result, fmt: str) -> str:
             "verified against all input samples")
 
 
-@main.command("difftable")
-@click.argument("input_file", type=click.File("r"), default="-")
-@click.option("--format", "fmt", type=click.Choice(["table", "json"]), default="table")
-@click.option("--min-witnesses", type=click.IntRange(min=2), default=2)
-def difftable_cmd(input_file, fmt, min_witnesses):
+def difftable_cmd(args) -> int:
     """Print the difference table of the sequence in INPUT_FILE (or stdin)."""
-    den, ints = common_denominator(_read_values(input_file))
+    den, ints = common_denominator(_read_values(args.input_file))
     try:
-        click.echo(_format_table(den, ints, min_witnesses, fmt))
+        print(_format_table(den, ints, args.min_witnesses, args.fmt))
     except DomainError as exc:
-        _fail("format", exc)
+        return _fail("format", exc)
+    return 0
 
 
 def _format_table(den: int, ints: list[int], min_witnesses: int, fmt: str) -> str:
     """The difference table of ints over den, each integer row formatted as it
     is made, so only one row of cells is live beside the text, and the degree
     read off the same rows: the first constant one with at least min_witnesses
-    entries, as fit's degree scan finds it, or none."""
-    texts, diagonal, degree = [], [], None
+    entries, as fit's degree scan finds it, or none.  Every row below a
+    constant row is constant too, and a constant row's cell is formatted once."""
+    def cell(n: int) -> str:
+        text = format_scalar(Rational(n, den), prefer_decimal=fmt != "json")
+        return f'"{text}"' if fmt == "json" else text
+
+    texts, diagonal, degree, constant = [], [], None, False
     for r, row in enumerate(_difference_rows(ints)):
-        if degree is None and len(row) >= min_witnesses and row.count(row[0]) == len(row):
+        constant = constant or row.count(row[0]) == len(row)
+        if degree is None and constant and len(row) >= min_witnesses:
             degree = r
+        cells = [cell(row[0])] * len(row) if constant else [cell(n) for n in row]
         if fmt == "json":
-            cells = [f'"{format_scalar(Rational(n, den))}"' for n in row]
             diagonal.append(cells[0])
             texts.append(_json_list(cells, "    "))
         else:
-            texts.append(f"row {r}: " + "  ".join(
-                format_scalar(Rational(n, den), prefer_decimal=True) for n in row))
+            texts.append(f"row {r}: " + "  ".join(cells))
     if fmt == "json":
         return (f'{{\n  "rows": {_json_list(texts, "  ")},\n'
                 f'  "main_diagonal": {_json_list(diagonal, "  ")},\n'
@@ -164,24 +338,27 @@ def _format_table(den: int, ints: list[int], min_witnesses: int, fmt: str) -> st
     return "\n".join(texts)
 
 
-@main.command("triangle")
-@click.option("--kind", type=click.Choice(["mwnt", "awnt", "stirling2"]), required=True)
-@click.option("--rows", type=click.IntRange(min=1), required=True)
-@click.option("--format", "fmt", type=click.Choice(["table", "json", "bfile"]), default="table")
-def triangle_cmd(kind, rows, fmt):
+def triangle_cmd(args) -> int:
     """Print a number triangle with the given number of rows."""
-    kind = TriangleKind(kind)
+    kind, rows = TriangleKind(args.kind), args.rows
     try:
-        # the diagonal cell, rows! or (rows-1)!, is no wider than the widest:
-        # if it cannot print, reject before building any row
         if kind is not TriangleKind.STIRLING2:
+            # no cell is wider than the widest, so if one cannot print, reject
+            # before building any row: first the diagonal cell, rows! or (rows-1)!,
             format_scalar(factorial(rows - (kind is TriangleKind.MWNT)))
+            # then, under a digit limit, the cell at k = 0.721·rows, near
+            # N/(2 ln 2) where k!·S(N, k) peaks: it passes the default limit at
+            # the first row the widest cell does (1485 AWNT, 1486 MWNT)
+            if getattr(sys, "get_int_max_str_digits", int)():
+                cell = awnt if kind is TriangleKind.AWNT else mwnt
+                format_scalar(cell(rows, max(1, rows * 721 // 1000)))
         # no column shrinks as n grows, so if the widest cell prints, every cell does
         format_scalar(max(last_row(kind, rows)))
     except DomainError as exc:
-        _fail("format", exc)
-    for text in _triangle_text(kind, triangle_rows(kind, rows), fmt):
-        click.echo(text, nl=False)
+        return _fail("format", exc)
+    for text in _triangle_text(kind, triangle_rows(kind, rows), args.fmt):
+        sys.stdout.write(text)
+    return 0
 
 
 def _triangle_text(kind: TriangleKind, rows, fmt: str) -> Iterator[str]:
@@ -199,36 +376,31 @@ def _triangle_text(kind: TriangleKind, rows, fmt: str) -> Iterator[str]:
             yield "  ".join(map(str, row)) + "\n"
 
 
-@main.command("verify")
-@click.option("--self", "self_check", is_flag=True, help="Run the identity suites.")
-@click.option("--oeis", "oeis_id", default=None, help="Cross-check against an OEIS b-file.")
-@click.option("--online", is_flag=True, help="Fetch the b-file from oeis.org instead of fixtures.")
-@click.option("--cells", type=click.IntRange(min=1), default=45)
-def verify_cmd(self_check, oeis_id, online, cells):
+def verify_cmd(args) -> int:
     """Run self-verification suites and OEIS cross-checks."""
-    if not self_check and oeis_id is None:
-        raise click.UsageError("nothing to verify: pass --self and/or --oeis")
-    if oeis_id is not None:
+    if not args.self_check and args.oeis_id is None:
+        raise _UsageError("nothing to verify: pass --self and/or --oeis")
+    if args.oeis_id is not None:
         from .oeis import TRIANGLE_KINDS, crosscheck_triangle, fetch_bfile
 
-        kind = TRIANGLE_KINDS.get(oeis_id)
+        kind = TRIANGLE_KINDS.get(args.oeis_id)
         if kind is None:
-            raise click.UsageError(f"no triangle mapping for {oeis_id}")
-    failures = _run_self_checks() if self_check else 0
-    if oeis_id is not None:
+            raise _UsageError(f"no triangle mapping for {args.oeis_id}")
+    failures = _run_self_checks() if args.self_check else 0
+    if args.oeis_id is not None:
         try:
-            bfile = fetch_bfile(oeis_id, source="network" if online else "fixture")
-            report = crosscheck_triangle(kind, bfile, cells)
+            bfile = fetch_bfile(args.oeis_id, source="network" if args.online else "fixture")
+            report = crosscheck_triangle(kind, bfile, args.cells)
         except BFileError as exc:
-            _fail("oeis", exc)
+            return _fail("oeis", exc)
         status = "PASS" if report.ok else "FAIL"
-        click.echo(f"{status}: {kind.value} vs {oeis_id}: "
-                   f"{report.matched}/{report.cells_checked} cells matched")
+        print(f"{status}: {kind.value} vs {args.oeis_id}: "
+              f"{report.matched}/{report.cells_checked} cells matched")
         if report.first_mismatch:
             n, k, ours, theirs = report.first_mismatch
-            click.echo(f"  first mismatch at (n={n}, k={k}): ours {ours}, b-file {theirs}")
+            print(f"  first mismatch at (n={n}, k={k}): ours {ours}, b-file {theirs}")
             failures += 1
-    sys.exit(1 if failures else 0)
+    return 1 if failures else 0
 
 
 def _run_self_checks() -> int:
@@ -237,7 +409,7 @@ def _run_self_checks() -> int:
 
     failures = 0
     for name, ok in identity_checks():
-        click.echo(f"{'PASS' if ok else 'FAIL'}: {name}")
+        print(f"{'PASS' if ok else 'FAIL'}: {name}")
         failures += not ok
     return failures
 

@@ -13,7 +13,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seqfit import format_scalar, oeis, oracle, parse_scalar
+from seqfit import cli, format_scalar, oeis, oracle, parse_scalar
 from seqfit.cli import main
 from seqfit.errors import SeqfitError
 from seqfit.oeis import BFile
@@ -175,6 +175,8 @@ DIFFTABLE_INPUTS = {
     "single value": "-7/3",
     "non-polynomial": "1 2 4 8 16 32 64 128",
     "constant": "3 3 3 3",
+    "constant decimal row": " ".join(f"{i ** 3}/4" for i in range(7)),
+    "last sample moved": " ".join(str(i ** 3 + (i == 39)) for i in range(40)),
 }
 
 
@@ -209,6 +211,22 @@ class TestDifftableCommand:
         assert result.stderr.startswith("error (format): scalar too large to print")
         assert "Traceback" not in result.output
         assert isinstance(result.exception, SystemExit)
+
+    @pytest.mark.parametrize("fmt", ["table", "json"])
+    def test_a_constant_row_formats_its_cell_once(self, monkeypatch, fmt):
+        calls = 0
+
+        def counted(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return format_scalar(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "format_scalar", counted)
+        result = run(["difftable", f"--format={fmt}"], input="".join(f"{i ** 3}\n" for i in range(300)))
+        assert result.exit_code == 0
+        # rows 0..2 cell by cell (897 cells), then one call for each of the 297 constant
+        # rows; about 45 000 calls, one a cell, when constant rows were formatted in full
+        assert calls == 897 + 297
 
     def test_table_output(self):
         result = run(["difftable"], input="10\n49\n628\n4915\n")
@@ -323,6 +341,52 @@ class TestTriangleCommand:
         assert result.stdout == ""
         assert result.stderr == expected
 
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                        reason="interpreter has no int/str digit limit")
+    @pytest.mark.parametrize("kind, first_wide_row", [("awnt", 1485), ("mwnt", 1486)])
+    def test_rows_past_the_default_limit_are_rejected_before_the_last_row(
+            self, monkeypatch, capsys, kind, first_wide_row):
+        # the cell at k = 0.721·rows passes 4300 digits at the row the widest cell does;
+        # rows 1485..1558 of AWNT, whose diagonal cell still prints, ran past 120 s
+        class Reached(Exception):
+            pass
+
+        def last_row(*args):
+            raise Reached
+
+        monkeypatch.setattr(cli, "last_row", last_row)
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            args = ["triangle", f"--kind={kind}", "--format=bfile"]
+            assert main.main([*args, f"--rows={first_wide_row}"], standalone_mode=False) == 1
+            with pytest.raises(Reached):
+                main.main([*args, f"--rows={first_wide_row - 1}"], standalone_mode=False)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error (format): scalar too large to print: ")
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                        reason="interpreter has no int/str digit limit")
+    @pytest.mark.parametrize("kind", ["awnt", "mwnt"])
+    def test_no_limit_computes_no_extra_cell(self, monkeypatch, kind):
+        def cell(*args):
+            raise AssertionError("a cell computed under no digit limit")
+
+        expected = run(["triangle", f"--kind={kind}", "--rows=9"]).stdout
+        monkeypatch.setattr(cli, "awnt", cell)
+        monkeypatch.setattr(cli, "mwnt", cell)
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            result = run(["triangle", f"--kind={kind}", "--rows=9"])
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert result.exit_code == 0
+        assert result.stdout == expected
+
 
 class TestVerifyCommand:
     def test_self_checks_pass(self):
@@ -399,6 +463,87 @@ def test_version_flag():
     result = run(["--version"])
     assert result.exit_code == 0
     assert "seqfit" in result.output
+
+
+def test_neither_import_nor_a_run_loads_click():
+    probe = "import sys, seqfit.cli; print('click' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
+    assert out.stdout == "False\n"
+    run_ = subprocess.run([sys.executable, "-X", "importtime", "-m", "seqfit.cli", "fit"],
+                          input="1\n4\n9\n16\n", capture_output=True, text=True)
+    assert run_.returncode == 0
+    assert run_.stdout.startswith("degree: 2\n")
+    loaded = [line.rsplit("|", 1)[1].strip() for line in run_.stderr.splitlines()
+              if line.startswith("import time:")]
+    assert "argparse" in loaded  # the probe sees the run's imports
+    assert [name for name in loaded if name.split(".")[0] == "click"] == []
+
+
+def test_main_follows_clicks_calling_convention(tmp_path, capsys):
+    path = write_sequence(tmp_path, SEQ_START_ZERO)
+    assert main.name == "seqfit"
+    result = CliRunner().invoke(main, ["fit", path, "--format", "json"])
+    assert result.exit_code == 0
+    assert json.loads(result.stdout)["coefficients_x"] == ["10", "9", "8", "7", "6", "5", "4"]
+    assert main.main(["fit", path, "--format", "json"], standalone_mode=False) == 0
+    assert capsys.readouterr().out == result.stdout
+    assert main.main(["verify"], prog_name="seqfit", standalone_mode=False) == 2
+    assert capsys.readouterr().err.endswith("Error: nothing to verify: pass --self and/or --oeis\n")
+    with pytest.raises(SystemExit) as exited:
+        main.main(["fit", path])
+    assert exited.value.code == 0
+
+
+def test_the_options_joined_to_their_values_are_the_parsers_own():
+    parser = cli._parser()
+    commands = next(a for a in parser._actions if a.dest == "command").choices
+    valued = {name for command in commands.values() for action in command._actions
+              if action.nargs is None for name in action.option_strings}
+    assert valued == cli._TAKES_VALUE
+
+
+@pytest.mark.parametrize("args", [
+    ["fit", "--bogus"],
+    ["fit", "--format", "csv"],
+    ["triangle", "--kind", "awnt", "--rows", "0"],
+    ["fit", "--min-witnesses", "1"],
+    ["verify", "--oeis", "A019538", "--cells", "x"],
+    ["triangle", "--rows", "3"],
+    ["fit", "--start"],
+    ["fit", "no-such-file.txt"],
+    ["bogus"],
+    [],
+    ["fit", "--form", "json"],
+], ids=["unknown option", "bad choice", "rows 0", "min-witnesses 1", "cells x", "missing kind",
+        "start with no value", "missing input file", "unknown command", "no command",
+        "abbreviated option"])
+def test_a_parser_error_exits_2_with_an_error_line(args):
+    result = subprocess.run([sys.executable, "-m", "seqfit.cli", *args], input="1\n2\n3\n",
+                            capture_output=True, text=True)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.splitlines()[-1].startswith("Error: ")
+    assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize("grid", [["--start", "-1/2", "--step", "-1/3"],
+                                  ["--start=-1/2", "--step=-1/3"]])
+def test_a_negative_rational_is_an_option_value(grid):
+    # 1, 2, 3 at x = -1/2, -5/6, -7/6: p(x) = -1/2 - 3x
+    result = run(["fit", *grid, "--format", "json"], input="1\n2\n3\n")
+    assert result.exit_code == 0
+    payload = json.loads(result.stdout)
+    assert payload["basis_g"] == {"x0": "-1/2", "h": "-1/3"}
+    assert payload["coefficients_x"] == ["-1/2", "-3"]
+
+
+def test_an_option_value_of_two_dashes_is_a_value():
+    result = run(["fit", "--start", "--"], input="1\n2\n")
+    assert result.exit_code == 2
+    assert result.stderr.endswith("Error: malformed scalar '--'\n")
+    result = run(["fit", "--format=--"], input="1\n2\n")
+    assert result.exit_code == 2
+    assert "--format" in result.stderr.splitlines()[-1]
 
 
 # A small grammar of command lines and inputs for the fuzz below: valid and
