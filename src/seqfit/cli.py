@@ -342,14 +342,21 @@ def triangle_cmd(args) -> int:
     """Print a number triangle with the given number of rows."""
     kind, rows = TriangleKind(args.kind), args.rows
     try:
+        # no cell is wider than the widest, so if one cannot print, reject
+        # before building any row: first the diagonal cell, rows! or (rows-1)!,
         if kind is not TriangleKind.STIRLING2:
-            # no cell is wider than the widest, so if one cannot print, reject
-            # before building any row: first the diagonal cell, rows! or (rows-1)!,
             format_scalar(factorial(rows - (kind is TriangleKind.MWNT)))
-            # then, under a digit limit, the cell at k = 0.721·rows, near
-            # N/(2 ln 2) where k!·S(N, k) peaks: it passes the default limit at
-            # the first row the widest cell does (1485 AWNT, 1486 MWNT)
-            if getattr(sys, "get_int_max_str_digits", int)():
+        # then, under a digit limit, one cell near the row's peak, computed
+        # directly: it passes the default limit at the first row the widest
+        # cell does.  For AWNT and MWNT that is k = 0.721·rows, near N/(2 ln 2)
+        # where k!·S(N, k) peaks (row 1485 AWNT, 1486 MWNT); for stirling2,
+        # k = rows // 6, near where S(N, k) peaks, k = 0.17·N about N = 2000
+        # (row 1982).  As k grows by at most 1 a row, the cell never shrinks.
+        if getattr(sys, "get_int_max_str_digits", int)():
+            if kind is TriangleKind.STIRLING2:
+                k = max(1, rows // 6)
+                format_scalar(awnt(rows, k) // factorial(k))
+            else:
                 cell = awnt if kind is TriangleKind.AWNT else mwnt
                 format_scalar(cell(rows, max(1, rows * 721 // 1000)))
         # no column shrinks as n grows, so if the widest cell prints, every cell does

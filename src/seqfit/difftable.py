@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Iterator
+from functools import lru_cache
 from itertools import accumulate
 from operator import add, mul, sub
 
@@ -71,6 +72,27 @@ def _first_constant_row(rows, min_witnesses: int):
 _PREFIX = 32
 
 
+# The modulus of the deepest-row test's first pass: a prime below 2**30, so each
+# residue is one CPython digit and each product there is big times one digit.
+_P = 1_000_000_007
+
+
+@lru_cache(maxsize=8)
+def _binomials_mod_p(n: int) -> tuple[int, ...]:
+    """C(n, j) mod _P for j = 0..n // 2, for 0 < n < _P: C(n, j + 1) is
+    C(n, j) (n - j) / (j + 1), with the inverse of each j + 1 mod _P from
+    inv(i) = -(_P // i) inv(_P mod i), in O(n) small-int operations.  The
+    cache holds n // 2 + 1 small ints per entry, memory linear in n."""
+    k = n // 2
+    inverse = [0, 1]
+    for i in range(2, k + 1):
+        inverse.append((_P - _P // i) * inverse[_P % i] % _P)
+    residues = [1]
+    for j in range(k):
+        residues.append(residues[-1] * (n - j) * inverse[j + 1] % _P)
+    return tuple(residues)
+
+
 def _deepest_row_is_constant(ints: list[int], min_witnesses: int) -> bool:
     """Whether row m - min_witnesses over ints, the deepest with min_witnesses
     entries, is constant, without building the rows above it.
@@ -80,25 +102,39 @@ def _deepest_row_is_constant(ints: list[int], min_witnesses: int) -> bool:
     n = m - min_witnesses + 1, are all zero.  As C(n, j) = C(n, n-j), each sum
     pairs ints[i+j] with ints[i+n-j], added when n is even and subtracted when
     n is odd, and is zero when its even-j and odd-j halves agree: n // 2 + 1
-    integer products, with C(n, 0..n // 2) built incrementally.  Sum i reads
-    ints[i..i+n], so the sums at the two ends, i = 0 and min_witnesses - 2,
-    come first, then those at the other multiples of n + 1: together they
-    read every sample, so one moved sample shows within min_witnesses/(n+1)
-    + 2 sums, O(m) products, not after every zero sum before it.
+    integer products.  Sum i reads ints[i..i+n], so the sums at the two ends,
+    i = 0 and min_witnesses - 2, come first, then those at the other multiples
+    of n + 1: together they read every sample, so one moved sample shows
+    within min_witnesses/(n+1) + 2 sums, O(m) products, not after every zero
+    sum before it.
+
+    The sums are taken twice, in that order.  First modulo the prime _P, with
+    C(n, j) mod _P in place of C(n, j): a sum that is not 0 mod _P is not 0,
+    so the first such sum proves the row is not constant, with no exact
+    binomial built.  Only when every sum is 0 mod _P are they taken exactly,
+    with C(n, 0..n // 2) built incrementally, so input made to be 0 mod _P
+    still costs O(m * min_witnesses) products.
     """
     n = len(ints) - min_witnesses + 1
-    half = [1]  # C(n, j) for j = 0..n // 2
-    for j in range(n // 2):
-        half.append(half[-1] * (n - j) // (j + 1))
     pair = sub if n % 2 else add
     last = min_witnesses - 2
     order = sorted(range(last + 1), key=lambda i: (0 < i < last, i % (n + 1) != 0))
-    for i in order:
-        # ints[i+j] paired with ints[i+n-j] for j <= n // 2; an even n's middle term meets the 0
-        terms = list(map(pair, ints[i:i + n // 2 + 1], ints[i + n:i + n // 2:-1] + [0]))
-        if sum(map(mul, half[0::2], terms[0::2])) != sum(map(mul, half[1::2], terms[1::2])):
-            return False
-    return True
+
+    def sums(binomials):
+        """Each sum in order, its even-j half less its odd-j half, with
+        binomials[j] in place of C(n, j)."""
+        even, odd = binomials[0::2], binomials[1::2]
+        for i in order:
+            # ints[i+j] paired with ints[i+n-j] for j <= n // 2; an even n's middle term meets the 0
+            terms = list(map(pair, ints[i:i + n // 2 + 1], ints[i + n:i + n // 2:-1] + [0]))
+            yield sum(map(mul, even, terms[0::2])) - sum(map(mul, odd, terms[1::2]))
+
+    if any(s % _P for s in sums(_binomials_mod_p(n))):
+        return False
+    half = [1]  # C(n, j) for j = 0..n // 2
+    for j in range(n // 2):
+        half.append(half[-1] * (n - j) // (j + 1))
+    return not any(sums(half))
 
 
 def scan_degree_scaled(denominator: int, ints: list[int],

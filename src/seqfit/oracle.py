@@ -31,8 +31,14 @@ def efdt_sum(z: Rational, b: Rational, n: int, k: int) -> Rational:
 def vandermonde_fit(points) -> Polynomial:
     """Unique interpolating polynomial through the given (x, y) points.
 
-    Exact Gaussian elimination with partial pivoting on the Vandermonde
-    system; trailing zero coefficients are trimmed.  O(m^3), test-only.
+    Fraction-free (Bareiss) elimination on the Vandermonde system, in
+    integers: over common denominators, x_i = u_i/q and y_i = v_i/r, so
+    c_j = z_j q^j / r where sum_j u_i^j z_j = v_i.  Every leading minor of
+    that matrix is the Vandermonde determinant of distinct u_i, so no pivot
+    is 0, and each step's division by the previous pivot is exact.  The last
+    pivot is the determinant D, so the D z_j are integers, found by exact
+    back-substitution.  Trailing zero coefficients are trimmed.  O(m^3),
+    test-only.
     """
     points = [(Rational(x), Rational(y)) for x, y in points]
     if not points:
@@ -42,20 +48,24 @@ def vandermonde_fit(points) -> Polynomial:
         raise DomainError("duplicate x values make the Vandermonde system singular")
 
     m = len(points)
-    aug = [[x**j for j in range(m)] + [y] for x, y in points]
-    for col in range(m):
-        pivot = max(range(col, m), key=lambda r: abs(aug[r][col]))
-        if aug[pivot][col] == 0:
-            raise DomainError("singular Vandermonde system")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        for r in range(col + 1, m):
-            factor = aug[r][col] / aug[col][col]
-            for c in range(col, m + 1):
-                aug[r][c] -= factor * aug[col][c]
-    coeffs = [Rational(0)] * m
-    for r in range(m - 1, -1, -1):
-        acc = sum((aug[r][c] * coeffs[c] for c in range(r + 1, m)), Rational(0))
-        coeffs[r] = (aug[r][m] - acc) / aug[r][r]
+    q, us = common_denominator(xs)
+    r, vs = common_denominator([p[1] for p in points])
+    aug = [[u**j for j in range(m)] + [v] for u, v in zip(us, vs)]
+    previous = 1
+    for col in range(m - 1):
+        pivot_row = aug[col]
+        pivot = pivot_row[col]
+        for row in aug[col + 1:]:
+            factor = row[col]
+            row[col + 1:] = [(a * pivot - factor * b) // previous
+                             for a, b in zip(row[col + 1:], pivot_row[col + 1:])]
+        previous = pivot
+    det = aug[-1][m - 1]
+    scaled = [0] * m  # det * z_j
+    for i in range(m - 1, -1, -1):
+        acc = sum(aug[i][c] * scaled[c] for c in range(i + 1, m))
+        scaled[i] = (det * aug[i][m] - acc) // aug[i][i]
+    coeffs = [Rational(z * q**j, det * r) for j, z in enumerate(scaled)]
     while len(coeffs) > 1 and coeffs[-1] == 0:
         coeffs.pop()
     return Polynomial(coefficients=tuple(coeffs))

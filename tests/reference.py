@@ -3,9 +3,11 @@
 build_table, detect_degree and diagonal_direct are slow and plainly correct:
 they work on the whole difference table of Fractions and share no code with
 seqfit.difftable, so a test that compares them with the library compares two
-implementations.  scan_degree and compose_affine are Fraction-level views of
-the library's integer kernels (difftable.scan_degree_scaled and
-solver._compose), for tests that state their cases in Fractions.
+implementations.  vandermonde_gauss is the same kind of reference for the
+integer elimination of seqfit.oracle.vandermonde_fit.  scan_degree and
+compose_affine are Fraction-level views of the library's integer kernels
+(difftable.scan_degree_scaled and solver._compose), for tests that state
+their cases in Fractions.
 """
 from collections import namedtuple
 from fractions import Fraction
@@ -89,3 +91,33 @@ def compose_affine(poly_in_g: solver.Polynomial, map: solver.AffineMap) -> solve
     """solver._compose on a Polynomial: p(g(x)) over x with g(x) = (x - x0)/h."""
     grid = solver._grid(map.x0, map.h)
     return solver._polynomial(*solver._compose(common_denominator(poly_in_g.coefficients), grid))
+
+
+def vandermonde_gauss(points) -> solver.Polynomial:
+    """oracle.vandermonde_fit by Fraction Gaussian elimination with partial
+    pivoting on the Vandermonde system; trailing zero coefficients are trimmed."""
+    points = [(Fraction(x), Fraction(y)) for x, y in points]
+    if not points:
+        raise DomainError("vandermonde_fit needs at least one point")
+    xs = [p[0] for p in points]
+    if len(set(xs)) != len(xs):
+        raise DomainError("duplicate x values make the Vandermonde system singular")
+
+    m = len(points)
+    aug = [[x**j for j in range(m)] + [y] for x, y in points]
+    for col in range(m):
+        pivot = max(range(col, m), key=lambda r: abs(aug[r][col]))
+        if aug[pivot][col] == 0:
+            raise DomainError("singular Vandermonde system")
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        for r in range(col + 1, m):
+            factor = aug[r][col] / aug[col][col]
+            for c in range(col, m + 1):
+                aug[r][c] -= factor * aug[col][c]
+    coeffs = [Fraction(0)] * m
+    for r in range(m - 1, -1, -1):
+        acc = sum((aug[r][c] * coeffs[c] for c in range(r + 1, m)), Fraction(0))
+        coeffs[r] = (aug[r][m] - acc) / aug[r][r]
+    while len(coeffs) > 1 and coeffs[-1] == 0:
+        coeffs.pop()
+    return solver.Polynomial(coefficients=tuple(coeffs))

@@ -322,10 +322,11 @@ class TestTriangleCommand:
         assert "Traceback" not in result.output
         assert isinstance(result.exception, SystemExit)
 
-    @pytest.mark.parametrize("kind", ["awnt", "mwnt"])
+    @pytest.mark.parametrize("kind", ["awnt", "mwnt", "stirling2"])
     def test_a_hopeless_triangle_is_rejected_before_any_row_is_built(self, kind):
         # the diagonal cell of row 2500 is 2500! (AWNT) or 2499! (MWNT), over 7400
-        # digits; building the 2500 Stirling rows first took more than 20 s
+        # digits, and S(2500, 416) has over 5600; building the 2500 Stirling
+        # rows first took more than 20 s (AWNT) and 2.5 min (stirling2)
         try:
             str(math.factorial(2499))
         except ValueError as exc:
@@ -343,11 +344,13 @@ class TestTriangleCommand:
 
     @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
                         reason="interpreter has no int/str digit limit")
-    @pytest.mark.parametrize("kind, first_wide_row", [("awnt", 1485), ("mwnt", 1486)])
+    @pytest.mark.parametrize("kind, first_wide_row",
+                             [("awnt", 1485), ("mwnt", 1486), ("stirling2", 1982)])
     def test_rows_past_the_default_limit_are_rejected_before_the_last_row(
             self, monkeypatch, capsys, kind, first_wide_row):
-        # the cell at k = 0.721·rows passes 4300 digits at the row the widest cell does;
-        # rows 1485..1558 of AWNT, whose diagonal cell still prints, ran past 120 s
+        # the cell at k = 0.721·rows (AWNT, MWNT) or rows // 6 (stirling2) passes
+        # 4300 digits at the row the widest cell does; rows 1485..1558 of AWNT,
+        # whose diagonal cell still prints, ran past 120 s
         class Reached(Exception):
             pass
 
@@ -370,7 +373,7 @@ class TestTriangleCommand:
 
     @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
                         reason="interpreter has no int/str digit limit")
-    @pytest.mark.parametrize("kind", ["awnt", "mwnt"])
+    @pytest.mark.parametrize("kind", ["awnt", "mwnt", "stirling2"])
     def test_no_limit_computes_no_extra_cell(self, monkeypatch, kind):
         def cell(*args):
             raise AssertionError("a cell computed under no digit limit")

@@ -306,8 +306,9 @@ class TestDeepestRowIsConstant:
     @given(st.data())
     def test_matches_the_reference_table(self, data):
         """Up to 150 samples of a polynomial or of b^i (b negative too), one of
-        them perhaps moved, and any min_witnesses from 2 to m, so that
-        n = m - min_witnesses + 1 takes both parities."""
+        them perhaps moved (by a multiple of _P too, so that every sum is 0
+        mod _P and only the exact sums decide), and any min_witnesses from 2
+        to m, so that n = m - min_witnesses + 1 takes both parities."""
         m = data.draw(st.integers(min_value=2, max_value=150))
         if data.draw(st.booleans()):
             base = data.draw(st.sampled_from((-5, -3, -2, -1, 2, 3, 5)))
@@ -316,7 +317,8 @@ class TestDeepestRowIsConstant:
             coeffs = data.draw(st.lists(st.integers(-50, 50), min_size=1, max_size=12))
             ints = [sum(c * i**j for j, c in enumerate(coeffs)) for i in range(m)]
         if data.draw(st.booleans()):
-            ints[data.draw(st.integers(0, m - 1))] += data.draw(st.sampled_from((-1, 1, 7)))
+            ints[data.draw(st.integers(0, m - 1))] += data.draw(
+                st.sampled_from((-1, 1, 7, difftable._P, -difftable._P, 2 * difftable._P)))
         min_witnesses = data.draw(st.integers(min_value=2, max_value=m))
         row = build_table(ints).rows[m - min_witnesses]
         assert difftable._deepest_row_is_constant(ints, min_witnesses) == \
@@ -342,3 +344,27 @@ class TestDeepestRowIsConstant:
         m = 400
         assert not difftable._deepest_row_is_constant(self.cubic(m, where), min_witnesses)
         assert products == sums * ((m - min_witnesses + 1) // 2 + 1)
+
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    @pytest.mark.parametrize("m, min_witnesses", [(40, 2), (40, 3), (40, 36), (400, 200), (401, 200)])
+    def test_a_sample_moved_by_p_is_rejected_by_the_exact_sums(
+            self, monkeypatch, m, min_witnesses, where):
+        # every sum changes by a multiple of _P, so every sum is 0 mod _P and
+        # only the exact second pass, after all the first pass's products, sees it
+        products = 0
+
+        def counted(a, b):
+            nonlocal products
+            products += 1
+            return a * b
+
+        monkeypatch.setattr(difftable, "mul", counted)
+        ints = self.cubic(m)
+        ints[{"first": 0, "middle": m // 2, "last": m - 1}[where]] += difftable._P
+        assert not difftable._deepest_row_is_constant(ints, min_witnesses)
+        assert products > (min_witnesses - 1) * ((m - min_witnesses + 1) // 2 + 1)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 10, 499, 500])
+    def test_residues_are_the_binomials_mod_p(self, n):
+        assert difftable._binomials_mod_p(n) == \
+            tuple(math.comb(n, j) % difftable._P for j in range(n // 2 + 1))

@@ -5,11 +5,15 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seqfit import Polynomial, awnt, binomial, fit
 from seqfit.errors import DomainError
 from seqfit.oracle import efdt_sum, vandermonde_fit
 from seqfit.solver import AffineMap
+
+from reference import vandermonde_gauss
 
 
 class TestVandermondeFit:
@@ -32,6 +36,15 @@ class TestVandermondeFit:
                   (Fraction(5, 2), Fraction(49, 4))]
         # y = (x + 1)^2
         assert vandermonde_fit(points).coefficients == (1, 2, 1)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.fractions(-20, 20, max_denominator=12), min_size=1, max_size=14, unique=True),
+           st.lists(st.fractions(-1000, 1000, max_denominator=100), min_size=1, max_size=16))
+    def test_integer_elimination_matches_fraction_gauss(self, xs, coeffs):
+        # with fewer coefficients than points the interpolant has trailing
+        # zeros to trim; with more it is another polynomial, of degree len(xs) - 1
+        points = [(x, sum(c * x**j for j, c in enumerate(coeffs))) for x in xs]
+        assert vandermonde_fit(points) == vandermonde_gauss(points)
 
 
 def fraction_efdt_sum(z, b, n, k):
