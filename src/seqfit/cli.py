@@ -10,14 +10,13 @@ import argparse
 import os
 import sys
 from collections.abc import Iterable, Iterator
-from math import factorial
 
 from . import __version__
 from .difftable import _difference_rows
 from .errors import BFileError, DomainError, ScalarParseError, SeqfitError
 from .numeric import Rational, common_denominator, format_scalar, parse_scalar
 from .solver import AffineMap, fit
-from .triangles import TriangleKind, awnt, last_row, mwnt, triangle_rows
+from .triangles import TriangleKind, cells_before_print, triangle_rows
 
 _CONVENTIONS = {"auto": "start_zero", "start-zero": "start_zero", "start-one": "start_one"}
 
@@ -341,26 +340,10 @@ def _format_table(den: int, ints: list[int], min_witnesses: int, fmt: str) -> st
 def triangle_cmd(args) -> int:
     """Print a number triangle with the given number of rows."""
     kind, rows = TriangleKind(args.kind), args.rows
-    try:
-        # no cell is wider than the widest, so if one cannot print, reject
-        # before building any row: first the diagonal cell, rows! or (rows-1)!,
-        if kind is not TriangleKind.STIRLING2:
-            format_scalar(factorial(rows - (kind is TriangleKind.MWNT)))
-        # then, under a digit limit, one cell near the row's peak, computed
-        # directly: it passes the default limit at the first row the widest
-        # cell does.  For AWNT and MWNT that is k = 0.721·rows, near N/(2 ln 2)
-        # where k!·S(N, k) peaks (row 1485 AWNT, 1486 MWNT); for stirling2,
-        # k = rows // 6, near where S(N, k) peaks, k = 0.17·N about N = 2000
-        # (row 1982).  As k grows by at most 1 a row, the cell never shrinks.
-        if getattr(sys, "get_int_max_str_digits", int)():
-            if kind is TriangleKind.STIRLING2:
-                k = max(1, rows // 6)
-                format_scalar(awnt(rows, k) // factorial(k))
-            else:
-                cell = awnt if kind is TriangleKind.AWNT else mwnt
-                format_scalar(cell(rows, max(1, rows * 721 // 1000)))
-        # no column shrinks as n grows, so if the widest cell prints, every cell does
-        format_scalar(max(last_row(kind, rows)))
+    limited = bool(getattr(sys, "get_int_max_str_digits", int)())
+    try:  # reject a triangle whose widest cell cannot print before any row does
+        for cell in cells_before_print(kind, rows, limited):
+            format_scalar(cell)
     except DomainError as exc:
         return _fail("format", exc)
     for text in _triangle_text(kind, triangle_rows(kind, rows), args.fmt):

@@ -21,9 +21,7 @@ Rational = Fraction
 
 from .errors import DomainError, ScalarParseError, ZeroDenominatorError
 
-_INTEGER_RE = re.compile(r"-?\d+\Z")
-_DECIMAL_RE = re.compile(r"(-?)(\d+)\.(\d+)\Z")
-_FRACTION_RE = re.compile(r"(-?\d+)/(\d+)\Z")
+_SCALAR_RE = re.compile(r"(-?\d+)(?:\.(\d+)|/(\d+))?\Z")  # the sign stays whole: -0.5 is -05/10
 
 
 def _int(digits: str) -> int:
@@ -43,20 +41,18 @@ def parse_scalar(text: str) -> Rational:
     denominator 0.
     """
     token = text.strip()
-    if _INTEGER_RE.match(token):
-        return Rational(_int(token))
-    m = _DECIMAL_RE.match(token)
-    if m:
-        sign, whole, frac = m.groups()
-        value = Rational(_int(whole + frac), 10 ** len(frac))
-        return -value if sign else value
-    m = _FRACTION_RE.match(token)
-    if m:
-        num, den = _int(m.group(1)), _int(m.group(2))
-        if den == 0:
-            raise ZeroDenominatorError(f"zero denominator in {token!r}")
-        return Rational(num, den)
-    raise ScalarParseError(f"malformed scalar {token!r}")
+    m = _SCALAR_RE.match(token)
+    if m is None:
+        raise ScalarParseError(f"malformed scalar {token!r}")
+    whole, frac, den = m.groups()
+    if frac is not None:
+        return Rational(_int(whole + frac), 10 ** len(frac))
+    if den is None:
+        return Rational(_int(whole))
+    num, den = _int(whole), _int(den)
+    if den == 0:
+        raise ZeroDenominatorError(f"zero denominator in {token!r}")
+    return Rational(num, den)
 
 
 def common_denominator(values) -> tuple[int, list[int]]:

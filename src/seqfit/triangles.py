@@ -10,16 +10,18 @@ Two triangles are served:
 Indexing is 1-based (n, k) matching the printed tables; entries with n < k
 are 0 and are not stored.  The signed binomial-power sum is the per-cell
 definition; whole tables scale Stirling rows built by recurrence and check
-their last row against it.
+their last row against the main diagonal of a difference table of powers.
 """
 from __future__ import annotations
 
 from collections.abc import Iterator
 from enum import Enum
 from itertools import accumulate, islice
+from math import factorial
 from operator import mul
 from threading import Lock
 
+from .difftable import _difference_rows
 from .errors import DomainError, InternalConsistencyError
 from .numeric import binomial
 
@@ -88,15 +90,15 @@ def stirling_table(max_n: int) -> tuple[tuple[int, ...], ...]:
 
 
 def stirling2(n: int, k: int) -> int:
-    """S(n, k) via the recurrence S(n,k) = k*S(n-1,k) + S(n-1,k-1), read from
-    the shared cache of stirling_table for n < STIRLING_CACHE_ROWS."""
+    """S(n, k): from the recurrence's rows in the shared cache of stirling_table
+    for n < STIRLING_CACHE_ROWS, else computed alone as AWNT(n, k) / k!."""
     if n < 0 or k < 0:
         raise DomainError("stirling2 requires nonnegative arguments")
     if k > n:
         return 0
     if n < STIRLING_CACHE_ROWS:
         return stirling_table(n)[n][k]
-    return next(islice(stirling_rows(n), n, None))[k]
+    return awnt(n, k) // factorial(k) if k else 0
 
 
 def _weights(kind: TriangleKind, max_n: int) -> tuple[list[int], list[int]]:
@@ -117,11 +119,13 @@ def _scaled_rows(kind: TriangleKind, max_n: int, first: int) -> Iterator[tuple[i
 
 
 def _checked(kind: TriangleKind, row: tuple[int, ...]) -> tuple[int, ...]:
-    """row, the last of its triangle, once checked against the signed power sum."""
+    """row, the last of its triangle, checked against AWNT row n: the main
+    diagonal of the difference table of 0^n, 1^n, ..., n^n."""
     n = len(row)
     factorials, weights = _weights(kind, n)
-    for k, value in enumerate(row, start=1):  # k! * entry = weight * (k! * S(n,k))
-        if factorials[k] * value != weights[k - 1] * _signed_power_sum(n, k):
+    diagonal = (r[0] for r in islice(_difference_rows([i**n for i in range(n + 1)]), 1, None))
+    for k, (value, cell) in enumerate(zip(row, diagonal), start=1):
+        if factorials[k] * value != weights[k - 1] * cell:  # k! * entry = weight * AWNT(n, k)
             raise InternalConsistencyError(
                 f"{kind.value} self-check failed at (n={n}, k={k}): {value}")
     return row
@@ -134,14 +138,30 @@ def triangle_rows(kind: TriangleKind, max_n: int) -> Iterator[tuple[int, ...]]:
 
 
 def last_row(kind: TriangleKind, max_n: int) -> tuple[int, ...]:
-    """Row max_n, checked against the signed power sum, holding one Stirling row
-    at a time.  Every column is non-decreasing in n (T(n,k) = k*T(n-1,k) + ...),
-    so this row holds the widest cell of the triangle."""
+    """Row max_n, checked, holding one Stirling row at a time.  No column shrinks
+    as n grows (T(n,k) = k*T(n-1,k) + ...), so it holds the triangle's widest cell."""
     return _checked(kind, next(_scaled_rows(kind, max_n, max_n)))
 
 
+def cells_before_print(kind: TriangleKind, max_n: int, limited: bool) -> Iterator[int]:
+    """Cells of row max_n to format before any row prints, the widest last.
+    Under a digit limit, cells computed alone come first, so a size past it
+    fails before any Stirling row is built: k = 2 (about 2^max_n), the
+    diagonal max_n! or (max_n-1)!, then the cell near the row's peak, which
+    passes 4300 digits at the same row as the widest: k = 0.721*max_n, near
+    max_n/(2 ln 2) (rows 1485 AWNT, 1486 MWNT), or max_n // 6 (1982 stirling2)."""
+    if limited:
+        stirling = kind is TriangleKind.STIRLING2
+        cell = stirling2 if stirling else awnt if kind is TriangleKind.AWNT else mwnt
+        yield cell(max_n, min(2, max_n))
+        if not stirling:
+            yield factorial(max_n - (kind is TriangleKind.MWNT))
+        yield cell(max_n, max(1, max_n // 6 if stirling else max_n * 721 // 1000))
+    yield max(last_row(kind, max_n))
+
+
 def build_triangle(kind: TriangleKind, max_n: int) -> tuple[tuple[int, ...], ...]:
-    """Rows 1..max_n (rows[n-1] holds k = 1..n); checks the last against the signed power sum."""
+    """Rows 1..max_n (rows[n-1] holds k = 1..n); checks the last as last_row does."""
     rows = tuple(triangle_rows(kind, max_n))
     _checked(kind, rows[-1])
     return rows

@@ -13,7 +13,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seqfit import cli, format_scalar, oeis, oracle, parse_scalar
+from seqfit import cli, format_scalar, oeis, oracle, parse_scalar, triangles
 from seqfit.cli import main
 from seqfit.errors import SeqfitError
 from seqfit.oeis import BFile
@@ -357,7 +357,7 @@ class TestTriangleCommand:
         def last_row(*args):
             raise Reached
 
-        monkeypatch.setattr(cli, "last_row", last_row)
+        monkeypatch.setattr(triangles, "last_row", last_row)
         limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(4300)
         try:
@@ -379,8 +379,8 @@ class TestTriangleCommand:
             raise AssertionError("a cell computed under no digit limit")
 
         expected = run(["triangle", f"--kind={kind}", "--rows=9"]).stdout
-        monkeypatch.setattr(cli, "awnt", cell)
-        monkeypatch.setattr(cli, "mwnt", cell)
+        for name in ("awnt", "mwnt", "stirling2"):
+            monkeypatch.setattr(triangles, name, cell)
         limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(0)
         try:

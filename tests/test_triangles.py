@@ -69,6 +69,18 @@ class TestStirling2:
         assert stirling2(3, 0) == 0
         assert stirling2(2, 5) == 0
 
+    def test_past_the_cache_each_cell_is_computed_alone(self, monkeypatch):
+        sizes = (128, 129, 200, 300)
+        rows = {n: next(islice(triangles.stirling_rows(n), n, None)) for n in sizes}
+
+        def stirling_rows(max_n):
+            raise AssertionError(f"stirling_rows({max_n}) built for one cell")
+
+        monkeypatch.setattr(triangles, "stirling_rows", stirling_rows)
+        for n in sizes:
+            for k in (0, 1, 2, 3, n // 6, n // 2, n - 1, n):
+                assert stirling2(n, k) == rows[n][k], (n, k)
+
 
 
 class TestStirlingCache:
@@ -196,22 +208,34 @@ class TestBuildTriangleCells:
                 assert rows[n - 1][k - 1] == by_power_sum, (n, k)
         assert [list(row) for row in rows] == expected_rows(kind, 40)
 
+    @pytest.mark.parametrize("rows, k", [(6, 3), (130, 77)])
     @pytest.mark.parametrize("kind", list(TriangleKind))
-    def test_wrong_last_row_fails_the_self_check(self, kind, monkeypatch):
+    def test_wrong_last_row_fails_the_self_check(self, kind, rows, k, monkeypatch):
         real = triangles.stirling_rows
 
         def corrupted(max_n):
             for n, row in enumerate(real(max_n)):
-                yield row if n < max_n else (*row[:3], row[3] + 1, *row[4:])
+                yield row if n < max_n else (*row[:k], row[k] + 1, *row[k + 1:])
 
         monkeypatch.setattr(triangles, "stirling_rows", corrupted)
-        with pytest.raises(InternalConsistencyError, match=r"\(n=6, k=3\)"):
-            build_triangle(kind, 6)
-        with pytest.raises(InternalConsistencyError, match=r"\(n=6, k=3\)"):
-            triangles.last_row(kind, 6)
-        result = CliRunner().invoke(main, ["triangle", f"--kind={kind.value}", "--rows=6"])
+        with pytest.raises(InternalConsistencyError, match=rf"\(n={rows}, k={k}\)"):
+            build_triangle(kind, rows)
+        with pytest.raises(InternalConsistencyError, match=rf"\(n={rows}, k={k}\)"):
+            triangles.last_row(kind, rows)
+        result = CliRunner().invoke(main, ["triangle", f"--kind={kind.value}", f"--rows={rows}"])
         assert result.exit_code != 0
         assert result.stdout == ""  # the check runs before the first row prints
+
+
+class TestCellsBeforePrint:
+    @pytest.mark.parametrize("kind", list(TriangleKind))
+    def test_cells_are_of_the_last_row_and_the_widest_comes_last(self, kind):
+        for n in range(1, 61):
+            row = expected_rows(kind, n)[-1]
+            cells = list(triangles.cells_before_print(kind, n, limited=True))
+            assert set(cells) <= set(row), n
+            assert cells[-1] == max(row) == max(cells), n
+            assert list(triangles.cells_before_print(kind, n, limited=False)) == [max(row)], n
 
 
 class TestTriangleCommandBytes:
