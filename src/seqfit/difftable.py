@@ -108,33 +108,38 @@ def _deepest_row_is_constant(ints: list[int], min_witnesses: int) -> bool:
     within min_witnesses/(n+1) + 2 sums, O(m) products, not after every zero
     sum before it.
 
-    The sums are taken twice, in that order.  First modulo the prime _P, with
-    C(n, j) mod _P in place of C(n, j): a sum that is not 0 mod _P is not 0,
-    so the first such sum proves the row is not constant, with no exact
-    binomial built.  Only when every sum is 0 mod _P are they taken exactly,
-    with C(n, 0..n // 2) built incrementally, so input made to be 0 mod _P
-    still costs O(m * min_witnesses) products.
+    Each sum is taken first modulo the prime _P, with C(n, j) mod _P in place
+    of C(n, j): a sum that is not 0 mod _P is not 0, so the row is not
+    constant, with no exact binomial built.  Only a sum that is 0 mod _P is
+    then taken exactly, with C(n, 0..n // 2) built once, at the first such
+    sum, so a sample moved by a multiple of _P still shows within those few
+    sums.
     """
     n = len(ints) - min_witnesses + 1
     pair = sub if n % 2 else add
     last = min_witnesses - 2
     order = sorted(range(last + 1), key=lambda i: (0 < i < last, i % (n + 1) != 0))
 
-    def sums(binomials):
-        """Each sum in order, its even-j half less its odd-j half, with
-        binomials[j] in place of C(n, j)."""
-        even, odd = binomials[0::2], binomials[1::2]
-        for i in order:
-            # ints[i+j] paired with ints[i+n-j] for j <= n // 2; an even n's middle term meets the 0
-            terms = list(map(pair, ints[i:i + n // 2 + 1], ints[i + n:i + n // 2:-1] + [0]))
-            yield sum(map(mul, even, terms[0::2])) - sum(map(mul, odd, terms[1::2]))
+    def difference(terms, even, odd):
+        """The sum's even-j half less its odd-j half, with even[j // 2] and
+        odd[j // 2] in place of C(n, j)."""
+        return sum(map(mul, even, terms[0::2])) - sum(map(mul, odd, terms[1::2]))
 
-    if any(s % _P for s in sums(_binomials_mod_p(n))):
-        return False
-    half = [1]  # C(n, j) for j = 0..n // 2
-    for j in range(n // 2):
-        half.append(half[-1] * (n - j) // (j + 1))
-    return not any(sums(half))
+    mod_p, exact = _binomials_mod_p(n), None
+    residues = mod_p[0::2], mod_p[1::2]
+    for i in order:
+        # ints[i+j] paired with ints[i+n-j] for j <= n // 2; an even n's middle term meets the 0
+        terms = list(map(pair, ints[i:i + n // 2 + 1], ints[i + n:i + n // 2:-1] + [0]))
+        if difference(terms, *residues) % _P:
+            return False
+        if exact is None:
+            half = [1]  # C(n, j) for j = 0..n // 2
+            for j in range(n // 2):
+                half.append(half[-1] * (n - j) // (j + 1))
+            exact = half[0::2], half[1::2]
+        if difference(terms, *exact):
+            return False
+    return True
 
 
 def scan_degree_scaled(denominator: int, ints: list[int],

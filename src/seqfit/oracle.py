@@ -3,13 +3,16 @@
 Used only by the test suite and the `verify` CLI path: an exact Vandermonde
 solve for polynomial interpolation, the Euler finite-difference sum
 sum_{i=0}^{k} (-1)^i C(k,i) (z - b*i)^n, which is 0 for n < k and b^k * k!
-for n = k, and `identity_checks`, the one statement of the identities that
-`seqfit verify --self` prints and the acceptance test asserts.  Exact
-arithmetic throughout, so agreement checks are equalities.
+for n = k (defined for n, k >= 0), and `identity_checks`, the one statement
+of the identities that `seqfit verify --self` prints and the acceptance test
+asserts.  Both read the finite-difference sums off one integer kernel,
+`_efdt_row`, over the common denominator of z and b.  Exact arithmetic
+throughout, so agreement checks are equalities.
 """
 from __future__ import annotations
 
 from math import factorial
+from operator import mul
 
 from .errors import DomainError
 from .numeric import Rational, binomial, common_denominator
@@ -17,15 +20,32 @@ from .solver import AffineMap, Polynomial, fit
 from .triangles import awnt, mwnt, stirling2
 
 
+def _efdt_row(u: int, v: int, k: int, n_max: int) -> list[int]:
+    """The integer sums sum_{i=0}^{k} (-1)^i C(k,i) (u - v*i)^n for n = 0..n_max.
+
+    A direct sum: the terms start as the signed binomials, and each next n
+    multiplies every term by its base u - v*i once.
+    """
+    bases = [u - v * i for i in range(k + 1)]
+    terms = [(-1) ** i * binomial(k, i) for i in range(k + 1)]
+    row = [sum(terms)]
+    for _ in range(n_max):
+        terms = list(map(mul, terms, bases))
+        row.append(sum(terms))
+    return row
+
+
 def efdt_sum(z: Rational, b: Rational, n: int, k: int) -> Rational:
-    """Direct evaluation of sum_{i=0}^{k} (-1)^i C(k,i) (z - b*i)^n.
+    """Direct evaluation of sum_{i=0}^{k} (-1)^i C(k,i) (z - b*i)^n, n, k >= 0.
 
     Over the common denominator q of z = u/q and b = v/q each term is
     (u - v*i)^n / q^n, so the sum is one integer sum and one division.
+    Raises DomainError for a negative n or k.
     """
+    if n < 0 or k < 0:
+        raise DomainError("efdt_sum requires nonnegative n and k")
     q, (u, v) = common_denominator((z, b))
-    total = sum((-1) ** i * binomial(k, i) * (u - v * i) ** n for i in range(k + 1))
-    return Rational(total, q**n)
+    return Rational(_efdt_row(u, v, k, n)[n], q**n)
 
 
 def vandermonde_fit(points) -> Polynomial:
@@ -97,9 +117,12 @@ def identity_checks():
     rng = random.Random(28246)
     draws = [(Rational(rng.randint(-50, 50), rng.randint(1, 9)),
               Rational(rng.randint(-50, 50), rng.randint(1, 9))) for _ in range(40)]
+    # over q with z = u/q and b = v/q, efdt_sum(z, b, n, k) is row[n] / q^n and
+    # b^k * k! is v^k * k! / q^k: one integer row per (z, b, k) checks n = 0..k
+    scaled = [common_denominator(draw)[1] for draw in draws]
     yield ("finite-difference sums: 0 below the diagonal, b^k * k! on it",
-           all(efdt_sum(z, b, n, k) == (b**k * factorial(k) if n == k else 0)
-               for z, b in draws for k in range(1, 11) for n in range(0, k + 1)))
+           all(_efdt_row(u, v, k, k) == [0] * k + [v**k * factorial(k)]
+               for u, v in scaled for k in range(1, 11)))
 
     rng = random.Random(19538)
     agree = True

@@ -324,45 +324,51 @@ class TestDeepestRowIsConstant:
         assert difftable._deepest_row_is_constant(ints, min_witnesses) == \
             all(v == row[0] for v in row)
 
-    # m = 400 samples; each sum is n // 2 + 1 products, n = m - min_witnesses + 1.
-    # In order from i = 0 up, the sample moved at the end would be seen by the
-    # last of min_witnesses - 1 sums, and the middle one (200) by sum 200 - n.
+    @staticmethod
+    def products_to_reject(monkeypatch, ints, min_witnesses):
+        """The integer products _deepest_row_is_constant takes to reject ints."""
+        products = 0
+
+        def counted(a, b):
+            nonlocal products
+            products += 1
+            return a * b
+
+        monkeypatch.setattr(difftable, "mul", counted)
+        assert not difftable._deepest_row_is_constant(ints, min_witnesses)
+        return products
+
+    # m = 400 samples; each sum is n // 2 + 1 products, n = m - min_witnesses + 1,
+    # modulo _P, and as many again exactly when it is 0 mod _P.  In order from
+    # i = 0 up, the sample moved at the end would be seen by the last of
+    # min_witnesses - 1 sums, and the middle one (200) by sum 200 - n.  Each
+    # sum before the one that sees it is 0, so it is taken both ways.
     @pytest.mark.parametrize("min_witnesses, where, sums", [
         (200, "first", 1), (200, "middle", 1), (200, "last", 2),  # n = 201: the two ends
         (300, "first", 1), (300, "middle", 3), (300, "last", 2),  # n = 101: 0, 298, 102, ...
     ])
     def test_one_moved_sample_is_seen_within_a_few_sums(
             self, monkeypatch, min_witnesses, where, sums):
-        products = 0
-
-        def counted(a, b):
-            nonlocal products
-            products += 1
-            return a * b
-
-        monkeypatch.setattr(difftable, "mul", counted)
         m = 400
-        assert not difftable._deepest_row_is_constant(self.cubic(m, where), min_witnesses)
-        assert products == sums * ((m - min_witnesses + 1) // 2 + 1)
+        products = self.products_to_reject(monkeypatch, self.cubic(m, where), min_witnesses)
+        assert products == (2 * sums - 1) * ((m - min_witnesses + 1) // 2 + 1)
 
     @pytest.mark.parametrize("where", ["first", "middle", "last"])
-    @pytest.mark.parametrize("m, min_witnesses", [(40, 2), (40, 3), (40, 36), (400, 200), (401, 200)])
+    @pytest.mark.parametrize("m, min_witnesses",
+                             [(40, 2), (40, 3), (40, 36), (400, 200), (400, 300), (401, 200)])
     def test_a_sample_moved_by_p_is_rejected_by_the_exact_sums(
             self, monkeypatch, m, min_witnesses, where):
-        # every sum changes by a multiple of _P, so every sum is 0 mod _P and
-        # only the exact second pass, after all the first pass's products, sees it
-        products = 0
-
-        def counted(a, b):
-            nonlocal products
-            products += 1
-            return a * b
-
-        monkeypatch.setattr(difftable, "mul", counted)
-        ints = self.cubic(m)
-        ints[{"first": 0, "middle": m // 2, "last": m - 1}[where]] += difftable._P
-        assert not difftable._deepest_row_is_constant(ints, min_witnesses)
-        assert products > (min_witnesses - 1) * ((m - min_witnesses + 1) // 2 + 1)
+        # a sample moved by _P leaves every sum 0 mod _P, so only the exact sums
+        # see it; they run sum by sum, so it costs what a sample moved by 1 does,
+        # plus the exact pass of the one sum that sees it, not every sum's residue
+        index = {"first": 0, "middle": m // 2, "last": m - 1}[where]
+        costs = []
+        for offset in (1, difftable._P):
+            ints = self.cubic(m)
+            ints[index] += offset
+            costs.append(self.products_to_reject(monkeypatch, ints, min_witnesses))
+        by_one, by_p = costs
+        assert by_p == by_one + (m - min_witnesses + 1) // 2 + 1
 
     @pytest.mark.parametrize("n", [1, 2, 3, 10, 499, 500])
     def test_residues_are_the_binomials_mod_p(self, n):

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 
 from seqfit import Polynomial, awnt, binomial, fit
 from seqfit.errors import DomainError
+from seqfit import oracle
+from seqfit.numeric import common_denominator
 from seqfit.oracle import efdt_sum, vandermonde_fit
 from seqfit.solver import AffineMap
 
@@ -102,6 +104,62 @@ class TestEfdtSum:
             for k in range(1, 10):
                 value = efdt_sum(Fraction(0), Fraction(-1), n, k)
                 assert (-1) ** k * value == awnt(n, k)
+
+    @pytest.mark.parametrize("n, k", [(-1, 2), (2, -1), (-1, -1)])
+    def test_negative_arguments_are_a_domain_error(self, n, k):
+        with pytest.raises(DomainError, match="nonnegative"):
+            efdt_sum(Fraction(1, 2), Fraction(3), n, k)
+
+
+def suite_draws():
+    # the 40 (z, b) draws of identity_checks' finite-difference identity
+    rng = random.Random(28246)
+    return [(Fraction(rng.randint(-50, 50), rng.randint(1, 9)),
+             Fraction(rng.randint(-50, 50), rng.randint(1, 9))) for _ in range(40)]
+
+
+class TestEfdtRow:
+    def test_matches_the_fraction_sums_on_the_suite_draws(self):
+        for z, b in suite_draws():
+            q, (u, v) = common_denominator((z, b))
+            for k in range(0, 11):
+                row = oracle._efdt_row(u, v, k, k + 2)
+                assert len(row) == k + 3
+                for n, total in enumerate(row):
+                    assert total == fraction_efdt_sum(z, b, n, k) * q**n, (z, b, n, k)
+                    assert Fraction(total, q**n) == efdt_sum(z, b, n, k), (z, b, n, k)
+
+    def test_integer_identity_accepts_exactly_the_cells_the_fraction_form_accepts(self):
+        # per cell (n, k), n <= k, of every draw: the row entry against 0 or v^k k!
+        # over q^n, and the Fraction sum against 0 or b^k k!, over all 2600 cells
+        cells = 0
+        for z, b in suite_draws():
+            q, (u, v) = common_denominator((z, b))
+            for k in range(1, 11):
+                row = oracle._efdt_row(u, v, k, k)
+                for n in range(0, k + 1):
+                    by_ints = row[n] == (v**k * factorial(k) if n == k else 0)
+                    by_fractions = fraction_efdt_sum(z, b, n, k) == (
+                        b**k * factorial(k) if n == k else 0)
+                    assert by_ints == by_fractions, (z, b, n, k)
+                    cells += 1
+        assert cells == 2600
+
+    def test_the_identity_reads_one_row_per_draw_and_k(self, monkeypatch):
+        calls = []
+        real = oracle._efdt_row
+
+        def recorded(u, v, k, n_max):
+            calls.append((u, v, k, n_max))
+            return real(u, v, k, n_max)
+
+        monkeypatch.setattr(oracle, "_efdt_row", recorded)
+        monkeypatch.setattr(oracle, "efdt_sum", None)  # the suite reads no single cell
+        checks = dict(oracle.identity_checks())
+        assert checks["finite-difference sums: 0 below the diagonal, b^k * k! on it"]
+        scaled = [tuple(common_denominator(draw)[1]) for draw in suite_draws()]
+        assert calls == [(u, v, k, k) for u, v in scaled for k in range(1, 11)]
+        assert len(calls) == 400
 
 
 # Each bracket below is sum_{i=0}^{k} (-1)^(k-i) C(k,i) i^n written out with
