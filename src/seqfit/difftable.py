@@ -45,6 +45,8 @@ def _newton_values(diagonal: list[int], m: int) -> list[int]:
 
 
 def _check_degree_args(length: int, min_witnesses: int):
+    if not isinstance(min_witnesses, int):
+        raise DomainError(f"min_witnesses must be an int, got {min_witnesses!r}")
     if min_witnesses < 2:
         raise DomainError("min_witnesses must be >= 2")
     if length < 2:

@@ -113,5 +113,5 @@ def format_scalar(value: Rational, prefer_decimal: bool = False) -> str:
 def binomial(n: int, k: int) -> int:
     """C(n, k) computed exactly; 0 when k > n."""
     if n < 0 or k < 0:
-        raise ValueError("binomial requires nonnegative arguments")
+        raise DomainError("binomial requires nonnegative arguments")
     return math.comb(n, k)

@@ -16,7 +16,7 @@ from collections import namedtuple
 from importlib import resources
 from itertools import count
 
-from .errors import BFileError
+from .errors import BFileError, DomainError
 from .triangles import TriangleKind, build_triangle
 
 _ID_RE = re.compile(r"A(\d{6})\Z")
@@ -89,6 +89,8 @@ def fetch_bfile(sequence_id: str, source: str = "fixture") -> BFile:
 def crosscheck_triangle(kind: TriangleKind, bfile: BFile, cells: int) -> CrosscheckReport:
     """Compare the first `cells` triangular cells, read row by row, against a b-file
     whose entries must be indexed 1, 2, 3, ..."""
+    if cells < 1:
+        raise DomainError(f"cells must be >= 1, got {cells}")
     if cells > len(bfile.entries):
         raise BFileError(
             f"requested {cells} cells but {bfile.sequence_id} has {len(bfile.entries)}"

@@ -156,61 +156,30 @@ def _first_miss(poly: tuple[int, list[int]], samples: tuple[int, list[int]],
     return len(ints)
 
 
-def _solve_and_check(samples: tuple[int, list[int]], diagonal: list[int], shift: int,
-                     grid: tuple[int, int, int]):
-    """poly_in_g from diagonal (integers over samples[0], entries 0..d), poly_in_x
-    on grid, both as (D, C), and the first sample either one misses."""
-    den, ints = samples
-    a, b, q = grid
-    d = len(diagonal) - 1
-    # in lowest terms, as Fractions would be, so that no step after carries
-    # the factor d! and powers of b for nothing
-    poly_in_g = _lowest_terms(_back_substitute(den, diagonal, shift))
-    # the g basis starts at index `shift`: g(x) = (x - x0)/h + shift = (q*x - (a - shift*b))/b
-    if a == shift * b and b == q:
-        # g(x) = x (x0 = shift, h = 1): poly_in_x is poly_in_g at the same
-        # points, so checking both would repeat each comparison; check it once
-        poly_in_x, k = poly_in_g, d + 1
-    else:
-        poly_in_x = _lowest_terms(_compose(poly_in_g, (a - shift * b, b, q)))
-        k = _first_miss(poly_in_g, (den, ints[:d + 1]), (shift, 1, 1))
-    # Horner's rule checks poly_in_g at the first d+1 samples and poly_in_x at
-    # those, or at all m when m <= 2(d+1); past that, one comparison with the
-    # running sums of `diagonal` checks every sample.  That is exact, and as
-    # strong as checking both polynomials everywhere:
-    # - each has at most d+1 coefficients (_back_substitute and _compose
-    #   build d+1), so matching the first d+1 samples makes it the polynomial
-    #   through them;
-    # - that polynomial's values are the running sums of its difference
-    #   diagonal (Newton's forward formula);
-    # - if `diagonal` were wrong, the sums would miss a sample among the
-    #   first d+1, so an accepted fit never rests on the scan alone.
-    # The sums add d times over all m samples, so they pay only when most
-    # samples lie past the first d+1.  A miss k <= d in g leaves only the
-    # samples before it to check in x.
-    m = len(ints)
-    head = m if m <= 2 * (d + 1) else d + 1
-    i = _first_miss(poly_in_x, (den, ints[:k if k <= d else head]), grid)
-    if i == head < m:
-        values = _newton_values(diagonal, m)
-        i = m if values == ints else next(
-            j for j, (v, u) in enumerate(zip(values, ints)) if v != u)
-    return poly_in_g, poly_in_x, i
-
-
 def fit(values, map: AffineMap, convention: str = "start_zero",
         min_witnesses: int = 2) -> FitResult:
     """End-to-end fit: difference rows, degree, solve, recompose, verify.
 
     The samples are scaled to integers once, by common_denominator, and
     everything up to the FitResult runs on integers over that denominator.
-    Both polynomials are checked at every sample: by Horner's rule at the
-    first d+1, where matching makes each the polynomial through them, and
-    by Newton's running sums of the diagonal past them (the argument is at
-    _solve_and_check).  A failure reports the first sample either misses.
+    Each candidate is decided in the index basis, where it is solved:
+    poly_in_g is checked at g = s, s+1, ... by Horner's rule at the first
+    d+1 samples, or at all m when m <= 2(d+1), and past them by Newton's
+    running sums of the diagonal.  That is exact, and as strong as checking
+    it by Horner at every sample:
+    - poly_in_g has d+1 coefficients, so matching the first d+1 samples
+      makes it the polynomial through them;
+    - that polynomial's values are the running sums of its difference
+      diagonal (Newton's forward formula);
+    - if `diagonal` were wrong, the sums would miss a sample among the
+      first d+1, so an accepted fit never rests on the scan alone.
+    poly_in_x, of at most d+1 coefficients, is then checked at the first
+    d+1 samples only, or at those before poly_in_g's first miss: matching
+    there makes it poly_in_g composed with g, which matches every sample
+    poly_in_g matches.  A failure reports the first sample either misses.
     On the convention's own grid, where g(x) = x, the two are one
-    polynomial at the same points: it is built and checked once, and is
-    both fields of the FitResult.
+    polynomial at the same points: it is neither composed nor checked a
+    second time, and is both fields of the FitResult.
 
     The degree comes from difftable._degree_candidates: with many samples
     a guess read off a prefix, then the full scan; the first candidate whose
@@ -224,15 +193,35 @@ def fit(values, map: AffineMap, convention: str = "start_zero",
     if shift is None:
         raise DomainError(f"unknown convention {convention!r}")
 
-    samples = den, ints = common_denominator(values)
-    grid = _grid(map.x0, map.h)
+    den, ints = common_denominator(values)
+    m = len(ints)
+    grid = a, b, q = _grid(map.x0, map.h)
+    # the g basis starts at index `shift`: g(x) = (x - x0)/h + shift = (q*x - (a - shift*b))/b
+    own_grid = a == shift * b and b == q
     index_map = AffineMap(x0=map.x0 - shift * map.h, h=map.h)
 
     for report, diagonal in _degree_candidates(den, ints, min_witnesses):
-        poly_in_g, poly_in_x, i = _solve_and_check(samples, diagonal, shift, grid)
-        if i == len(ints):
+        d = len(diagonal) - 1
+        # in lowest terms, as Fractions would be, so that no step after carries
+        # the factor d! and powers of b for nothing
+        poly_in_g = _lowest_terms(_back_substitute(den, diagonal, shift))
+        # the sums add d times over all m samples, so they pay only when most
+        # samples lie past the first d+1
+        head = m if m <= 2 * (d + 1) else d + 1
+        i = _first_miss(poly_in_g, (den, ints[:head]), (shift, 1, 1))
+        if i == head < m:
+            sums = _newton_values(diagonal, m)
+            i = m if sums == ints else next(
+                j for j, (v, u) in enumerate(zip(sums, ints)) if v != u)
+        if not own_grid:
+            poly_in_x = _lowest_terms(_compose(poly_in_g, (a - shift * b, b, q)))
+            checked = min(i, d + 1)
+            j = _first_miss(poly_in_x, (den, ints[:checked]), grid)
+            if j < checked:
+                i = j
+        if i == m:
             in_g = _polynomial(*poly_in_g)
-            in_x = in_g if poly_in_x is poly_in_g else _polynomial(*poly_in_x)
+            in_x = in_g if own_grid else _polynomial(*poly_in_x)
             return FitResult(in_g, in_x, index_map, report)
     raise InconsistentSequenceError(
         f"fitted polynomial does not reproduce sample {i} (x={map.x0 + i * map.h})",

@@ -506,11 +506,16 @@ def test_main_follows_clicks_calling_convention(tmp_path, capsys):
 
 
 def test_the_options_joined_to_their_values_are_the_parsers_own():
+    # every option of the top parser and its commands either takes a value,
+    # whatever its nargs, and is in _TAKES_VALUE, or is a flag (nargs 0)
     parser = cli._parser()
     commands = next(a for a in parser._actions if a.dest == "command").choices
-    valued = {name for command in commands.values() for action in command._actions
-              if action.nargs is None for name in action.option_strings}
+    actions = [action for p in (parser, *commands.values()) for action in p._actions
+               if action.option_strings]
+    valued = {name for action in actions if action.nargs != 0 for name in action.option_strings}
+    flags = {name for action in actions if action.nargs == 0 for name in action.option_strings}
     assert valued == cli._TAKES_VALUE
+    assert flags == {"--self", "--online", "--help", "--version"}
 
 
 @pytest.mark.parametrize("args", [

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seqfit import difftable
+from seqfit import AffineMap, difftable, fit
 from seqfit.errors import DomainError, NotPolynomialError
 
 from conftest import DIAG_START_ONE, DIAG_START_ZERO
@@ -282,6 +282,15 @@ class TestScanDegree:
             scan_degree([Fraction(1), Fraction(2)], min_witnesses=1)
         with pytest.raises(DomainError, match="length >= 2"):
             scan_degree([Fraction(1)])
+
+    @pytest.mark.parametrize("m", [10, 3 * difftable._PREFIX])  # the plain scan, and the deepest-row test
+    @pytest.mark.parametrize("min_witnesses", [2.5, 2.0, "3", None])
+    def test_a_min_witnesses_that_is_not_an_int_is_rejected(self, m, min_witnesses):
+        values = [Fraction(3) ** i for i in range(m)]
+        with pytest.raises(DomainError, match="min_witnesses must be an int, got "):
+            difftable.scan_degree_scaled(1, [3**i for i in range(m)], min_witnesses)
+        with pytest.raises(DomainError, match="min_witnesses must be an int, got "):
+            fit(values, AffineMap(Fraction(0), Fraction(1)), min_witnesses=min_witnesses)
 
 
 class TestDeepestRowIsConstant:

@@ -94,9 +94,12 @@ class TestBinomial:
                 right = binomial(n - 1, k - 1) + binomial(n - 1, k) if k else binomial(n - 1, 0)
                 assert left == right
 
-    def test_negative_arguments_rejected(self):
-        with pytest.raises(ValueError):
-            binomial(-1, 0)
+    @pytest.mark.parametrize("n, k", [(-1, 0), (-1, 2), (3, -1)])
+    def test_negative_arguments_rejected(self, n, k):
+        # a DomainError, so a SeqfitError and still a ValueError
+        with pytest.raises(SeqfitError, match="nonnegative") as err:
+            binomial(n, k)
+        assert isinstance(err.value, DomainError) and isinstance(err.value, ValueError)
 
 
 class TestCommonDenominator:

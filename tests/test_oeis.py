@@ -5,7 +5,7 @@ import urllib.request
 import pytest
 
 from seqfit import TriangleKind
-from seqfit.errors import BFileError
+from seqfit.errors import BFileError, DomainError
 from seqfit.oeis import BFile, crosscheck_triangle, fetch_bfile, parse_bfile
 
 
@@ -124,6 +124,12 @@ class TestCrosscheck:
         broken = BFile("A019538", edit(bfile.entries))
         with pytest.raises(BFileError, match="has index"):
             crosscheck_triangle(TriangleKind.AWNT, broken, 45)
+
+    @pytest.mark.parametrize("cells", [0, -3])
+    def test_fewer_than_one_cell_is_rejected(self, cells):
+        bfile = fetch_bfile("A019538", source="fixture")
+        with pytest.raises(DomainError, match=f"cells must be >= 1, got {cells}"):
+            crosscheck_triangle(TriangleKind.AWNT, bfile, cells)
 
     def test_too_many_cells_requested(self):
         bfile = fetch_bfile("A019538", source="fixture")

@@ -445,6 +445,96 @@ class TestVerificationDoesNotTrustTheScan:
         assert error.sample_index == 0
 
 
+class TestChecksInTheIndexBasis:
+    """fit() decides each candidate with poly_in_g at g = s, s+1, ...; it
+    checks poly_in_x, the composition, at no more than the first d+1
+    samples, and on the convention's own grid neither composes nor checks
+    a second polynomial."""
+
+    TRUE_X = TestVerification.TRUE_X  # degree 4
+    D = len(TRUE_X) - 1
+    GRIDS = TestVerification.GRIDS
+
+    def traced_fit(self, monkeypatch, m, convention, grid, moved):
+        """fit() over m samples of TRUE_X on grid, the last one moved by 1
+        when moved; the scan, which would reject moved samples as not
+        polynomial, is handed the true samples, so that the check must
+        reject them.  Returns fit()'s result or error, its _first_miss calls
+        in order, each as (basis, coefficients, samples checked) with basis
+        "g" for the integer points s, s+1, ... and "x" for the grid, and the
+        numbers of solves and composes."""
+        x0, h = self.GRIDS[grid]
+        shift = {"start_zero": 0, "start_one": 1}[convention]
+        values = [Polynomial(coefficients=self.TRUE_X)(x0 + i * h) for i in range(m)]
+        den, true_ints = common_denominator(values)
+        if moved:
+            values[-1] += 1
+            assert common_denominator(values)[0] == den
+        calls, used = [], {"solves": 0, "composes": 0}
+        real_first_miss, real_solve, real_compose, real_scan = \
+            solver._first_miss, solver._back_substitute, solver._compose, difftable.scan_degree_scaled
+
+        def first_miss(poly, samples, index_grid):
+            calls.append(("g" if index_grid == (shift, 1, 1) else "x", len(poly[1]), len(samples[1])))
+            return real_first_miss(poly, samples, index_grid)
+
+        def solve(*args):
+            used["solves"] += 1
+            return real_solve(*args)
+
+        def compose(*args):
+            used["composes"] += 1
+            return real_compose(*args)
+
+        monkeypatch.setattr(solver, "_first_miss", first_miss)
+        monkeypatch.setattr(solver, "_back_substitute", solve)
+        monkeypatch.setattr(solver, "_compose", compose)
+        monkeypatch.setattr(difftable, "scan_degree_scaled",
+                            lambda den, ints, w: real_scan(den, true_ints, w))
+        try:
+            outcome = fit(values, AffineMap(x0, h), convention)
+        except InconsistentSequenceError as exc:
+            outcome = exc
+        assert isinstance(outcome, InconsistentSequenceError) == moved
+        return outcome, calls, used
+
+    # m = 6..10 run Horner on poly_in_g at all m, 11 and 40 the running sums,
+    # 65 and 130 the prefix guess first
+    @pytest.mark.parametrize("m", [6, 10, 11, 40, 65, 130])
+    @pytest.mark.parametrize("grid", ["3.3/0.1", "integer+2"])
+    @pytest.mark.parametrize("convention", ["start_zero", "start_one"])
+    @pytest.mark.parametrize("moved", [False, True])
+    def test_poly_in_x_is_checked_at_no_more_than_d_plus_1_samples(
+            self, monkeypatch, m, convention, grid, moved):
+        _, calls, used = self.traced_fit(monkeypatch, m, convention, grid, moved)
+        assert used["composes"] == used["solves"] >= 1
+        assert [basis for basis, _, _ in calls] == ["g", "x"] * used["solves"]
+        for _, coeffs, checked in calls[1::2]:
+            assert coeffs <= self.D + 1 and checked <= self.D + 1
+
+    @pytest.mark.parametrize("m", [6, 10, 11, 40, 65, 130])
+    @pytest.mark.parametrize("convention, grid", [("start_zero", "integer"),
+                                                  ("start_one", "integer+1")])
+    @pytest.mark.parametrize("moved", [False, True])
+    def test_on_the_own_grid_poly_in_x_is_neither_composed_nor_checked(
+            self, monkeypatch, m, convention, grid, moved):
+        result, calls, used = self.traced_fit(monkeypatch, m, convention, grid, moved)
+        assert used["composes"] == 0
+        assert [basis for basis, _, _ in calls] == ["g"] * used["solves"]
+        if not moved:
+            assert result.poly_in_x is result.poly_in_g
+
+    @pytest.mark.parametrize("m", range(D + 2, 2 * (D + 1) + 1))
+    @pytest.mark.parametrize("convention", ["start_zero", "start_one"])
+    def test_a_sample_moved_at_m_minus_1_is_reported_there(self, monkeypatch, m, convention):
+        error, calls, _ = self.traced_fit(monkeypatch, m, convention, "3.3/0.1", moved=True)
+        x0, h = self.GRIDS["3.3/0.1"]
+        assert error.sample_index == m - 1
+        assert str(error) == \
+            f"fitted polynomial does not reproduce sample {m - 1} (x={x0 + (m - 1) * h})"
+        assert calls == [("g", self.D + 1, m), ("x", self.D + 1, self.D + 1)]
+
+
 # Per-cell back-substitution straight from the triangle definitions, with the
 # pivots AWNT(k,k) = k! and MWNT(k,k) = (k-1)!: the reference for the solver's
 # integer kernel.
