@@ -300,24 +300,33 @@ def _format_fit(result, fmt: str) -> str:
 def difftable_cmd(args) -> int:
     """Print the difference table of the sequence in INPUT_FILE (or stdin)."""
     den, ints = common_denominator(_read_values(args.input_file))
-    try:
-        print(_format_table(den, ints, args.min_witnesses, args.fmt))
+    table = (den, ints, args.min_witnesses, args.fmt)
+    # a cell n/den has |n| <= 2^(m-1) * max|ints|; in lowest terms p/q, |p| <= |n| and
+    # q | den, so it has at most digits(p) + bits(den) digits, and 2^b at most b*0.30103 + 1
+    bits = len(ints) - 1 + max(map(abs, ints)).bit_length()
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    try:  # a cell may not print: format every one, keeping no text, before any row prints
+        if limit and bits * 30103 // 100000 + 1 + den.bit_length() > limit:
+            for _ in _table_text(*table):
+                pass
     except DomainError as exc:
         return _fail("format", exc)
+    for text in _table_text(*table):
+        sys.stdout.write(text)
     return 0
 
 
-def _format_table(den: int, ints: list[int], min_witnesses: int, fmt: str) -> str:
-    """The difference table of ints over den, each integer row formatted as it
-    is made, so only one row of cells is live beside the text, and the degree
-    read off the same rows: the first constant one with at least min_witnesses
-    entries, as fit's degree scan finds it, or none.  Every row below a
-    constant row is constant too, and a constant row's cell is formatted once."""
+def _table_text(den: int, ints: list[int], min_witnesses: int, fmt: str) -> Iterator[str]:
+    """The output of `seqfit difftable`, one row's text at a time.  Each integer
+    row of the difference table of ints over den is formatted as it is made, and
+    the degree is read off the same rows: the first constant one with at least
+    min_witnesses entries, as fit's degree scan finds it, or none.  Every row
+    below a constant row is constant too; a constant row's cell is formatted once."""
     def cell(n: int) -> str:
         text = format_scalar(Rational(n, den), prefer_decimal=fmt != "json")
         return f'"{text}"' if fmt == "json" else text
 
-    texts, diagonal, degree, constant = [], [], None, False
+    diagonal, degree, constant = [], None, False
     for r, row in enumerate(_difference_rows(ints)):
         constant = constant or row.count(row[0]) == len(row)
         if degree is None and constant and len(row) >= min_witnesses:
@@ -325,16 +334,15 @@ def _format_table(den: int, ints: list[int], min_witnesses: int, fmt: str) -> st
         cells = [cell(row[0])] * len(row) if constant else [cell(n) for n in row]
         if fmt == "json":
             diagonal.append(cells[0])
-            texts.append(_json_list(cells, "    "))
+            yield (",\n    " if r else '{\n  "rows": [\n    ') + _json_list(cells, "    ")
         else:
-            texts.append(f"row {r}: " + "  ".join(cells))
+            yield f"row {r}: " + "  ".join(cells) + "\n"
     if fmt == "json":
-        return (f'{{\n  "rows": {_json_list(texts, "  ")},\n'
-                f'  "main_diagonal": {_json_list(diagonal, "  ")},\n'
-                f'  "degree": {"null" if degree is None else degree}\n}}')
-    texts.append(f"degree: {degree}" if degree is not None
-                 else "degree: not polynomial within observed window")
-    return "\n".join(texts)
+        yield (f'\n  ],\n  "main_diagonal": {_json_list(diagonal, "  ")},\n'
+               f'  "degree": {"null" if degree is None else degree}\n}}\n')
+    else:
+        yield (f"degree: {degree}\n" if degree is not None
+               else "degree: not polynomial within observed window\n")
 
 
 def triangle_cmd(args) -> int:

@@ -173,10 +173,11 @@ def fit(values, map: AffineMap, convention: str = "start_zero",
       diagonal (Newton's forward formula);
     - if `diagonal` were wrong, the sums would miss a sample among the
       first d+1, so an accepted fit never rests on the scan alone.
-    poly_in_x, of at most d+1 coefficients, is then checked at the first
-    d+1 samples only, or at those before poly_in_g's first miss: matching
-    there makes it poly_in_g composed with g, which matches every sample
-    poly_in_g matches.  A failure reports the first sample either misses.
+    Only a poly_in_g that matches every sample is composed, and poly_in_x,
+    of at most d+1 coefficients, is then checked at the first d+1 samples
+    only: matching there makes it poly_in_g composed with g, which matches
+    every sample.  A failure reports the first sample poly_in_g misses, or
+    else the first poly_in_x misses, which only a wrong _compose makes.
     On the convention's own grid, where g(x) = x, the two are one
     polynomial at the same points: it is neither composed nor checked a
     second time, and is both fields of the FitResult.
@@ -213,11 +214,10 @@ def fit(values, map: AffineMap, convention: str = "start_zero",
             sums = _newton_values(diagonal, m)
             i = m if sums == ints else next(
                 j for j, (v, u) in enumerate(zip(sums, ints)) if v != u)
-        if not own_grid:
+        if i == m and not own_grid:
             poly_in_x = _lowest_terms(_compose(poly_in_g, (a - shift * b, b, q)))
-            checked = min(i, d + 1)
-            j = _first_miss(poly_in_x, (den, ints[:checked]), grid)
-            if j < checked:
+            j = _first_miss(poly_in_x, (den, ints[:d + 1]), grid)
+            if j <= d:
                 i = j
         if i == m:
             in_g = _polynomial(*poly_in_g)

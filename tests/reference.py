@@ -4,14 +4,16 @@ build_table, detect_degree and diagonal_direct are slow and plainly correct:
 they work on the whole difference table of Fractions and share no code with
 seqfit.difftable, so a test that compares them with the library compares two
 implementations.  vandermonde_gauss is the same kind of reference for the
-integer elimination of seqfit.oracle.vandermonde_fit.  scan_degree and
+integer elimination of seqfit.oracle.vandermonde_fit.  newton_fit is an
+O(m^2) interpolation oracle, cheap enough for the high degrees that
+vandermonde_fit's O(m^3) elimination does not reach.  scan_degree and
 compose_affine are Fraction-level views of the library's integer kernels
 (difftable.scan_degree_scaled and solver._compose), for tests that state
 their cases in Fractions.
 """
 from collections import namedtuple
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, factorial, lcm
 
 from seqfit import solver
 from seqfit.difftable import DegreeReport, scan_degree_scaled
@@ -121,3 +123,28 @@ def vandermonde_gauss(points) -> solver.Polynomial:
     while len(coeffs) > 1 and coeffs[-1] == 0:
         coeffs.pop()
     return solver.Polynomial(coefficients=tuple(coeffs))
+
+
+def newton_fit(x0, h, values) -> tuple:
+    """The polynomial of least degree through values on the grid x0 + i*h,
+    as its power-basis coefficients in x, ascending, trailing zeros trimmed.
+
+    Newton's forward-difference formula, with t = (x - x0)/h,
+        p(x) = sum_j (Delta^j y_0 / j!) * prod_{k<j} (t - k),
+    expanded by Horner's rule, p = c_0 + t*(c_1 + (t - 1)*(c_2 + ...)), each
+    factor t - k being x/h - (x0/h + k).  Fractions throughout; no Stirling
+    numbers, no back-substitution and no seqfit code.
+    """
+    x0, h = Fraction(x0), Fraction(h)
+    row, deltas = [Fraction(v) for v in values], []
+    while row:
+        deltas.append(row[0])
+        row = [b - a for a, b in zip(row, row[1:])]
+    coeffs = [Fraction(0)]
+    for j in range(len(deltas) - 1, -1, -1):  # coeffs = coeffs * (t - j) + Delta^j y_0 / j!
+        shift = x0 / h + j
+        coeffs = [prev / h - shift * cur for cur, prev in zip(coeffs + [0], [0] + coeffs)]
+        coeffs[0] += deltas[j] / factorial(j)
+    while len(coeffs) > 1 and coeffs[-1] == 0:
+        coeffs.pop()
+    return tuple(coeffs)

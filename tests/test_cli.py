@@ -7,6 +7,7 @@ import sys
 import time
 import tracemalloc
 from contextlib import redirect_stdout
+from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner
@@ -212,6 +213,56 @@ class TestDifftableCommand:
         assert "Traceback" not in result.output
         assert isinstance(result.exception, SystemExit)
 
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                        reason="interpreter has no int/str digit limit")
+    @pytest.mark.parametrize("fmt", ["table", "json"])
+    def test_a_table_past_the_bound_that_prints_is_formatted_twice(self, monkeypatch, fmt):
+        # the bound on its cells, 2^39 * 39^2 * 10^630, has 645 digits; no cell has more than 634
+        text = " ".join(str(10**630 * i * i) for i in range(40))
+        calls = 0
+
+        def counted(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return format_scalar(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "format_scalar", counted)
+        streamed = run(["difftable", f"--format={fmt}"], input=text.replace(" ", "\n"))
+        streamed_calls, calls = calls, 0
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            result = run(["difftable", f"--format={fmt}"], input=text.replace(" ", "\n"))
+            expected = difftable_reference(text, fmt, 2)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert result.exit_code == 0
+        assert result.stdout == expected == streamed.stdout
+        assert result.stderr == ""
+        assert calls == 2 * streamed_calls  # every cell once before printing, then as it prints
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                        reason="interpreter has no int/str digit limit")
+    @pytest.mark.parametrize("fmt", ["table", "json"])
+    def test_a_cell_past_the_digit_limit_in_the_last_row_alone_prints_nothing(self, fmt):
+        # alternating signs double every entry row by row: row r holds +-2^r * c, which
+        # has 641 digits in row 39, the last, and at most 640 above it
+        c = -(-10**640 // 2**39)
+        values = "".join(f"{(-1) ** i * c}\n" for i in range(40))
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            format_scalar(Fraction(2**38 * c))
+            with pytest.raises(SeqfitError) as last_cell:
+                format_scalar(Fraction(2**39 * c))
+            result = run(["difftable", f"--format={fmt}"], input=values)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert result.stderr == f"error (format): {last_cell.value}\n"
+        assert isinstance(result.exception, SystemExit)
+
     @pytest.mark.parametrize("fmt", ["table", "json"])
     def test_a_constant_row_formats_its_cell_once(self, monkeypatch, fmt):
         calls = 0
@@ -276,6 +327,13 @@ class TestOutputMemory:
         peak, printed = traced_run(["difftable", f"--format={fmt}"], tmp_path, values)
         assert printed > 100_000
         assert peak < 6 * printed  # 17-21x when every cell was a Fraction first
+
+    @pytest.mark.parametrize("fmt", ["table", "json"])
+    def test_difftable_of_1000_values_streams_its_rows(self, fmt, tmp_path):
+        values = "".join(f"{i ** 5 - 3 * i * i + 7}\n" for i in range(1000))
+        peak, printed = traced_run(["difftable", f"--format={fmt}"], tmp_path, values)
+        assert printed > 1_000_000
+        assert peak < printed / 5  # 2.1x (table), 3.0x (JSON) when the whole text was built first
 
     @pytest.mark.parametrize("fmt", ["table", "json", "bfile"])
     def test_triangle_of_200_rows(self, fmt, tmp_path):

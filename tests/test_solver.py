@@ -3,7 +3,7 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from seqfit import (
@@ -29,7 +29,7 @@ from conftest import (
     DIAG_START_ONE,
     DIAG_START_ZERO,
 )
-from reference import build_table, compose_affine, scan_degree
+from reference import build_table, compose_affine, newton_fit, scan_degree
 
 
 def poly(*coeffs):
@@ -276,7 +276,8 @@ def agreeing_at(p, roots):
 
 class TestVerification:
     """fit() rejects a poly_in_g or a poly_in_x that misses a sample, whichever
-    coefficient is wrong, and reports the first sample either one misses."""
+    coefficient is wrong, and reports the first sample poly_in_g misses, or,
+    when it misses none, the first sample poly_in_x misses."""
 
     TRUE_X = (Fraction(2, 3), Fraction(-1), Fraction(0), Fraction(5, 2), Fraction(3))  # degree 4
     GRIDS = {"integer": (Fraction(0), Fraction(1)), "integer+1": (Fraction(1), Fraction(1)),
@@ -299,10 +300,11 @@ class TestVerification:
         may agree at.  Composition always starts from the true poly_in_g, so a
         corrupted poly_in_g is seen only by its own check.  Where g(x) = x,
         fit() must not compose at all, and the poly_in_g it solved, corrupted
-        or not, is its poly_in_x.  Asserts that fit() reports the first sample
-        either polynomial misses, found by rational evaluation at every
-        sample, after trying the prefix degree first when M > 2 * _PREFIX,
-        and returns that index."""
+        or not, is its poly_in_x; nor may it compose a poly_in_g that misses a
+        sample.  Asserts that fit() reports the first sample poly_in_g misses,
+        or else the first poly_in_x misses, found by rational evaluation at
+        every sample, after trying the prefix degree first when
+        M > 2 * _PREFIX, and returns that index."""
         x0, h = self.GRIDS[grid]
         shift = {"start_zero": 0, "start_one": 1}[convention]
         own_grid = (x0, h) == (shift, 1)
@@ -331,12 +333,13 @@ class TestVerification:
         with pytest.raises(InconsistentSequenceError) as raised:
             fit(values, AffineMap(x0, h), convention)
         assert used["solves"] == (2 if self.M > 2 * difftable._PREFIX else 1)
-        assert used["composes"] == (0 if own_grid else used["solves"])
+        assert used["composes"] == (0 if own_grid or corrupt_g else used["solves"])
         g = used["g"]
-        x = g if own_grid else used["x"]
+        x = used.get("x", g)
         assert len(g.coefficients) == len(x.coefficients) == len(self.TRUE_X)
-        expected = next(i for i, v in enumerate(values)
-                        if g(Fraction(shift + i)) != v or x(x0 + i * h) != v)
+        expected = next((i for i, v in enumerate(values) if g(Fraction(shift + i)) != v), None)
+        if expected is None:
+            expected = next(i for i, v in enumerate(values) if x(x0 + i * h) != v)
         assert str(raised.value) == \
             f"fitted polynomial does not reproduce sample {expected} (x={x0 + expected * h})"
         assert raised.value.sample_index == expected
@@ -363,10 +366,11 @@ class TestVerification:
         assert self.run(monkeypatch, convention, grid, corrupt_x=agreeing_at) == 4
 
     @pytest.mark.parametrize("convention, grid", X_CASES)
-    def test_the_first_miss_of_either_polynomial_is_reported(self, monkeypatch, convention, grid):
+    def test_a_miss_of_poly_in_g_is_reported_before_poly_in_x_is_composed(
+            self, monkeypatch, convention, grid):
         # one polynomial misses from sample d on, the other from sample 0 or 1
         assert self.run(monkeypatch, convention, grid,
-                        corrupt_g=agreeing_at, corrupt_x=off_at(2)) <= 1
+                        corrupt_g=agreeing_at, corrupt_x=off_at(2)) == 4
         assert self.run(monkeypatch, convention, grid,
                         corrupt_g=off_at(2), corrupt_x=agreeing_at) <= 1
 
@@ -447,9 +451,9 @@ class TestVerificationDoesNotTrustTheScan:
 
 class TestChecksInTheIndexBasis:
     """fit() decides each candidate with poly_in_g at g = s, s+1, ...; it
-    checks poly_in_x, the composition, at no more than the first d+1
-    samples, and on the convention's own grid neither composes nor checks
-    a second polynomial."""
+    composes only a poly_in_g that matches every sample, checks poly_in_x,
+    the composition, at no more than the first d+1 samples, and on the
+    convention's own grid neither composes nor checks a second polynomial."""
 
     TRUE_X = TestVerification.TRUE_X  # degree 4
     D = len(TRUE_X) - 1
@@ -507,9 +511,10 @@ class TestChecksInTheIndexBasis:
     def test_poly_in_x_is_checked_at_no_more_than_d_plus_1_samples(
             self, monkeypatch, m, convention, grid, moved):
         _, calls, used = self.traced_fit(monkeypatch, m, convention, grid, moved)
-        assert used["composes"] == used["solves"] >= 1
-        assert [basis for basis, _, _ in calls] == ["g", "x"] * used["solves"]
-        for _, coeffs, checked in calls[1::2]:
+        # only a candidate whose poly_in_g matches every sample is composed
+        assert used["solves"] >= 1 and used["composes"] == (0 if moved else 1)
+        assert [basis for basis, _, _ in calls] == ["g"] * used["solves"] + ["x"] * (not moved)
+        for _, coeffs, checked in calls[used["solves"]:]:
             assert coeffs <= self.D + 1 and checked <= self.D + 1
 
     @pytest.mark.parametrize("m", [6, 10, 11, 40, 65, 130])
@@ -532,7 +537,7 @@ class TestChecksInTheIndexBasis:
         assert error.sample_index == m - 1
         assert str(error) == \
             f"fitted polynomial does not reproduce sample {m - 1} (x={x0 + (m - 1) * h})"
-        assert calls == [("g", self.D + 1, m), ("x", self.D + 1, self.D + 1)]
+        assert calls == [("g", self.D + 1, m)]
 
 
 # Per-cell back-substitution straight from the triangle definitions, with the
@@ -610,6 +615,37 @@ class TestSolverProperties:
         first = 1 if convention == "start_one" else 0
         indexed = [(first + i, v) for i, v in enumerate(values)]
         assert result.poly_in_g.coefficients == vandermonde_fit(indexed).coefficients
+
+
+# integer steps, and steps from 1/10 to 10 in size: rational, of either sign
+grid_steps = st.one_of(st.sampled_from((1, -1, 2, -3)).map(Fraction), steps)
+
+
+class TestTheNewtonOracle:
+    """reference.newton_fit, O(m^2), checks fit() at the degrees that
+    vandermonde_fit, O(m^3), does not reach; below them it is checked
+    against vandermonde_fit."""
+
+    # no shrink phase: shrinking a failure here ran into Hypothesis's 5-minute limit
+    @settings(max_examples=10, deadline=None,
+              phases=(Phase.explicit, Phase.reuse, Phase.generate))
+    @given(st.integers(min_value=26, max_value=120), st.data(), small_rationals, grid_steps,
+           st.integers(min_value=2, max_value=4), st.sampled_from(("start_zero", "start_one")))
+    def test_fit_agrees_with_it_at_high_degree(self, d, data, x0, h, extra, convention):
+        leading = data.draw(small_rationals.filter(bool))
+        coeffs = (*data.draw(st.lists(small_rationals, min_size=d, max_size=d)), leading)
+        values = [Polynomial(coefficients=coeffs)(x0 + i * h) for i in range(d + extra)]
+        result = fit(values, AffineMap(x0, h), convention)
+        assert result.degree_report.degree == d
+        assert result.poly_in_x.coefficients == newton_fit(x0, h, values) == coeffs
+        first = 1 if convention == "start_one" else 0
+        assert result.poly_in_g.coefficients == newton_fit(first, 1, values)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(small_rationals, min_size=1, max_size=26), small_rationals, grid_steps)
+    def test_it_agrees_with_the_vandermonde_oracle(self, values, x0, h):
+        xs = [x0 + i * h for i in range(len(values))]
+        assert newton_fit(x0, h, values) == vandermonde_fit(zip(xs, values)).coefficients
 
 
 class TestTheConventionsOwnGrid:
