@@ -171,8 +171,6 @@ def _run(argv: list[str]) -> int:
             args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
         if args.command is None:
             parser.error("missing command")
-        if "input_file" in args:  # opened before the command runs, as click opened it
-            args.input_file = _open_input(args.input_file)
         return args.run(args)
     except _UsageError as exc:
         parser = exc.parser or args.parser
@@ -213,8 +211,9 @@ class _Main:
 main = _Main()
 
 
-def _read_values(input_file) -> list[Rational]:
-    """Parse newline- or comma-separated scalars, skipping '#' comment lines."""
+def _read_values(path: str) -> list[Rational]:
+    """The scalars in INPUT_FILE, separated by newlines or commas; '#' starts a comment."""
+    input_file = _open_input(path)
     try:
         text = input_file.read()
     except UnicodeDecodeError as exc:
@@ -222,19 +221,11 @@ def _read_values(input_file) -> list[Rational]:
     finally:
         if input_file is not sys.stdin:
             input_file.close()
-    values = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        for token in line.split(","):
-            token = token.strip()
-            if not token:
-                continue
-            try:
-                values.append(parse_scalar(token))
-            except ScalarParseError as exc:
-                raise _UsageError(f"input parse: {exc}") from None
+    try:
+        values = [parse_scalar(token) for line in text.splitlines()
+                  for token in line.split("#", 1)[0].split(",") if token.strip()]
+    except ScalarParseError as exc:
+        raise _UsageError(f"input parse: {exc}") from None
     if not values:
         raise _UsageError("input contains no values")
     return values
@@ -300,18 +291,21 @@ def _format_fit(result, fmt: str) -> str:
 def difftable_cmd(args) -> int:
     """Print the difference table of the sequence in INPUT_FILE (or stdin)."""
     den, ints = common_denominator(_read_values(args.input_file))
-    table = (den, ints, args.min_witnesses, args.fmt)
-    # a cell n/den has |n| <= 2^(m-1) * max|ints|; in lowest terms p/q, |p| <= |n| and
-    # q | den, so it has at most digits(p) + bits(den) digits, and 2^b at most b*0.30103 + 1
-    bits = len(ints) - 1 + max(map(abs, ints)).bit_length()
+    # a cell n/den in lowest terms p/q has |p| <= |n| and q | den, so it has at most
+    # digits(n) + bits(den) digits, and a b-bit n at most b*0.30103 + 1.  A row whose
+    # widest cell is within the limit prints; every row below a constant one holds 0s
     limit = getattr(sys, "get_int_max_str_digits", int)()
-    try:  # a cell may not print: format every one, keeping no text, before any row prints
-        if limit and bits * 30103 // 100000 + 1 + den.bit_length() > limit:
-            for _ in _table_text(*table):
-                pass
+    try:  # format, keeping no text, the cells of each row that might not print, before any does
+        for row in _difference_rows(ints) if limit else ():
+            constant = row.count(row[0]) == len(row)
+            if max(map(abs, row)).bit_length() * 30103 // 100000 + 1 + den.bit_length() > limit:
+                for n in row[:1] if constant else row:
+                    format_scalar(Rational(n, den), prefer_decimal=args.fmt != "json")
+            if constant:
+                break
     except DomainError as exc:
         return _fail("format", exc)
-    for text in _table_text(*table):
+    for text in _table_text(den, ints, args.min_witnesses, args.fmt):
         sys.stdout.write(text)
     return 0
 

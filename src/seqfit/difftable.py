@@ -81,17 +81,18 @@ _P = 1_000_000_007
 
 @lru_cache(maxsize=8)
 def _binomials_mod_p(n: int) -> tuple[int, ...]:
-    """C(n, j) mod _P for j = 0..n // 2, for 0 < n < _P: C(n, j + 1) is
-    C(n, j) (n - j) / (j + 1), with the inverse of each j + 1 mod _P from
-    inv(i) = -(_P // i) inv(_P mod i), in O(n) small-int operations.  The
-    cache holds n // 2 + 1 small ints per entry, memory linear in n."""
+    """(-1)^j C(n, j) mod _P for j = 0..n // 2, for 0 < n < _P: C(n, j + 1) is
+    C(n, j) (n - j) / (j + 1), negated at each step, with the inverse of each
+    j + 1 mod _P from inv(i) = -(_P // i) inv(_P mod i), in O(n) small-int
+    operations.  The cache holds n // 2 + 1 small ints per entry, memory
+    linear in n."""
     k = n // 2
     inverse = [0, 1]
     for i in range(2, k + 1):
         inverse.append((_P - _P // i) * inverse[_P % i] % _P)
     residues = [1]
     for j in range(k):
-        residues.append(residues[-1] * (n - j) * inverse[j + 1] % _P)
+        residues.append(-residues[-1] * (n - j) * inverse[j + 1] % _P)
     return tuple(residues)
 
 
@@ -101,45 +102,37 @@ def _deepest_row_is_constant(ints: list[int], min_witnesses: int) -> bool:
 
     It is when its successive differences, the entries
     sum_j (-1)^(n-j) C(n, j) ints[i+j] (i < min_witnesses - 1) of row
-    n = m - min_witnesses + 1, are all zero.  As C(n, j) = C(n, n-j), each sum
-    pairs ints[i+j] with ints[i+n-j], added when n is even and subtracted when
-    n is odd, and is zero when its even-j and odd-j halves agree: n // 2 + 1
-    integer products.  Sum i reads ints[i..i+n], so the sums at the two ends,
-    i = 0 and min_witnesses - 2, come first, then those at the other multiples
-    of n + 1: together they read every sample, so one moved sample shows
-    within min_witnesses/(n+1) + 2 sums, O(m) products, not after every zero
-    sum before it.
+    n = m - min_witnesses + 1, are all zero.  As C(n, j) = C(n, n-j), each is,
+    up to its sign, one signed sum over j <= n // 2 of (-1)^j C(n, j) times
+    ints[i+j] paired with ints[i+n-j], added when n is even and subtracted when
+    n is odd: n // 2 + 1 integer products.  Sum i reads ints[i..i+n], so the
+    sums at the two ends, i = 0 and min_witnesses - 2, come first, then those
+    at the other multiples of n + 1: together they read every sample, so one
+    moved sample shows within min_witnesses/(n+1) + 2 sums, O(m) products,
+    not after every zero sum before it.
 
-    Each sum is taken first modulo the prime _P, with C(n, j) mod _P in place
-    of C(n, j): a sum that is not 0 mod _P is not 0, so the row is not
-    constant, with no exact binomial built.  Only a sum that is 0 mod _P is
-    then taken exactly, with C(n, 0..n // 2) built once, at the first such
-    sum, so a sample moved by a multiple of _P still shows within those few
-    sums.
+    Each sum is taken first modulo the prime _P, with (-1)^j C(n, j) mod _P in
+    place of (-1)^j C(n, j): a sum that is not 0 mod _P is not 0, so the row is
+    not constant, with no exact binomial built.  Only a sum that is 0 mod _P is
+    then taken exactly, with (-1)^j C(n, j) for j = 0..n // 2 built once, at
+    the first such sum, so a sample moved by a multiple of _P still shows
+    within those few sums.
     """
     n = len(ints) - min_witnesses + 1
     pair = sub if n % 2 else add
     last = min_witnesses - 2
     order = sorted(range(last + 1), key=lambda i: (0 < i < last, i % (n + 1) != 0))
-
-    def difference(terms, even, odd):
-        """The sum's even-j half less its odd-j half, with even[j // 2] and
-        odd[j // 2] in place of C(n, j)."""
-        return sum(map(mul, even, terms[0::2])) - sum(map(mul, odd, terms[1::2]))
-
-    mod_p, exact = _binomials_mod_p(n), None
-    residues = mod_p[0::2], mod_p[1::2]
+    residues, exact = _binomials_mod_p(n), None
     for i in order:
         # ints[i+j] paired with ints[i+n-j] for j <= n // 2; an even n's middle term meets the 0
         terms = list(map(pair, ints[i:i + n // 2 + 1], ints[i + n:i + n // 2:-1] + [0]))
-        if difference(terms, *residues) % _P:
+        if sum(map(mul, residues, terms)) % _P:
             return False
         if exact is None:
-            half = [1]  # C(n, j) for j = 0..n // 2
+            exact = [1]
             for j in range(n // 2):
-                half.append(half[-1] * (n - j) // (j + 1))
-            exact = half[0::2], half[1::2]
-        if difference(terms, *exact):
+                exact.append(-exact[-1] * (n - j) // (j + 1))
+        if sum(map(mul, exact, terms)):
             return False
     return True
 

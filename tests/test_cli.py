@@ -73,6 +73,22 @@ class TestFitCommand:
         result = run(["fit", path, "--format", "json"])
         assert result.exit_code == 0
 
+    def test_an_empty_token_between_commas_is_skipped(self):
+        result = run(["difftable"], input="1,,2,3\n")
+        assert result.exit_code == 0
+        assert result.stdout.splitlines()[0] == "row 0: 1  2  3"
+
+    def test_two_dashes_end_the_options(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "-x.txt").write_text("\n".join(map(str, SEQ_START_ZERO)) + "\n")
+        result = run(["fit", "--format", "json", "--", "-x.txt"])
+        assert result.exit_code == 0
+        assert json.loads(result.stdout)["coefficients_x"] == ["10", "9", "8", "7", "6", "5", "4"]
+        result = run(["fit", "-x.txt"])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr.splitlines()[-1].startswith("Error: ")
+
     def test_stdin_matches_file(self, tmp_path):
         path = write_sequence(tmp_path, SEQ_START_ZERO)
         from_file = run(["fit", path, "--format", "json"])
@@ -216,9 +232,11 @@ class TestDifftableCommand:
     @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
                         reason="interpreter has no int/str digit limit")
     @pytest.mark.parametrize("fmt", ["table", "json"])
-    def test_a_table_past_the_bound_that_prints_is_formatted_twice(self, monkeypatch, fmt):
-        # the bound on its cells, 2^39 * 39^2 * 10^630, has 645 digits; no cell has more than 634
-        text = " ".join(str(10**630 * i * i) for i in range(40))
+    def test_the_rows_past_the_check_that_print_are_formatted_twice(self, monkeypatch, fmt):
+        # row 0's widest cell, 39^2 * 10^636, has 640 digits, which print, but 2124 bits,
+        # which the check reads as up to 640 + bits(1) = 641 digits: only row 0's 40 cells
+        # are formatted before printing; row 1's widest, 77 * 10^636, reads as 640
+        text = " ".join(str(10**636 * i * i) for i in range(40))
         calls = 0
 
         def counted(*args, **kwargs):
@@ -239,7 +257,37 @@ class TestDifftableCommand:
         assert result.exit_code == 0
         assert result.stdout == expected == streamed.stdout
         assert result.stderr == ""
-        assert calls == 2 * streamed_calls  # every cell once before printing, then as it prints
+        assert calls == streamed_calls + 40  # row 0 once before printing, then as it prints
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                        reason="interpreter has no int/str digit limit")
+    def test_a_long_polynomial_table_is_formatted_once_under_a_lower_limit(
+            self, monkeypatch, tmp_path):
+        # no row of 3000 cubes has a cell past 2999^3, though 2^2999 * 2999^3, which
+        # bounds every row of any 3000 values up to 2999^3, has 914 digits
+        (tmp_path / "cubes.txt").write_text("".join(f"{i ** 3}\n" for i in range(3000)))
+        calls = 0
+
+        def counted(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return format_scalar(*args, **kwargs)
+
+        def calls_at(digits):
+            nonlocal calls
+            calls, limit = 0, sys.get_int_max_str_digits()
+            sys.set_int_max_str_digits(digits)
+            try:
+                with open(os.devnull, "w") as out, redirect_stdout(out):
+                    assert main.main(["difftable", str(tmp_path / "cubes.txt")],
+                                     standalone_mode=False) == 0
+            finally:
+                sys.set_int_max_str_digits(limit)
+            return calls
+
+        monkeypatch.setattr(cli, "format_scalar", counted)
+        # rows 0..2 cell by cell, then one call for each of the 2997 constant rows
+        assert calls_at(640) == calls_at(sys.get_int_max_str_digits()) == 3000 + 2999 + 2998 + 2997
 
     @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
                         reason="interpreter has no int/str digit limit")
@@ -513,6 +561,21 @@ class TestVerifyCommand:
         assert result.exit_code == 1
         assert result.stdout == ""
         assert result.stderr == "error (oeis): A019538: entry 14 has index 15, expected 14\n"
+
+    def test_oeis_bfile_with_a_wrong_entry_reports_its_first_mismatch(self, monkeypatch):
+        real = oeis.fetch_bfile
+
+        def wrong(sequence_id, source):
+            # entry 14 is AWNT(5, 4) = 4! * S(5, 4) = 240
+            bfile = real(sequence_id, source)
+            return BFile(bfile.sequence_id, bfile.entries[:13] + ((14, 241),) + bfile.entries[14:])
+
+        monkeypatch.setattr(oeis, "fetch_bfile", wrong)
+        result = run(["verify", "--oeis", "A019538", "--cells", "45"])
+        assert result.exit_code == 1
+        assert result.stdout == ("FAIL: awnt vs A019538: 44/45 cells matched\n"
+                                 "  first mismatch at (n=5, k=4): ours 240, b-file 241\n")
+        assert result.stderr == ""
 
     def test_unknown_sequence_is_usage_error(self):
         assert run(["verify", "--oeis", "A000001"]).exit_code == 2

@@ -382,4 +382,4 @@ class TestDeepestRowIsConstant:
     @pytest.mark.parametrize("n", [1, 2, 3, 10, 499, 500])
     def test_residues_are_the_binomials_mod_p(self, n):
         assert difftable._binomials_mod_p(n) == \
-            tuple(math.comb(n, j) % difftable._P for j in range(n // 2 + 1))
+            tuple((-1)**j * math.comb(n, j) % difftable._P for j in range(n // 2 + 1))

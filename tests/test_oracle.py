@@ -33,6 +33,10 @@ class TestVandermondeFit:
         with pytest.raises(DomainError):
             vandermonde_fit([(1, 2), (1, 3)])
 
+    def test_no_points_rejected(self):
+        with pytest.raises(DomainError):
+            vandermonde_fit([])
+
     def test_rational_points(self):
         points = [(Fraction(1, 2), Fraction(9, 4)), (Fraction(3, 2), Fraction(25, 4)),
                   (Fraction(5, 2), Fraction(49, 4))]

@@ -69,6 +69,10 @@ class TestStirling2:
         assert stirling2(3, 0) == 0
         assert stirling2(2, 5) == 0
 
+    def test_domain_errors(self):
+        with pytest.raises(DomainError):
+            triangles.stirling2(-1, 0)
+
     def test_past_the_cache_each_cell_is_computed_alone(self, monkeypatch):
         sizes = (128, 129, 200, 300)
         rows = {n: next(islice(triangles.stirling_rows(n), n, None)) for n in sizes}
