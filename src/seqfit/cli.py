@@ -68,6 +68,8 @@ def _open_input(path: str):
             return open(path)
         except OSError as exc:
             raise _UsageError(f"argument INPUT_FILE: '{path}': {exc.strerror}") from None
+    if sys.stdin is None:  # fd 0 was closed when the interpreter started
+        raise _UsageError("argument INPUT_FILE: '-': stdin is closed")
     if sys.stdin.errors != "strict":
         try:
             return open(sys.stdin.fileno(), encoding="utf-8", closefd=False)
@@ -194,6 +196,10 @@ class _Main:
     def main(self, args=None, prog_name=None, standalone_mode=True) -> int:
         """Run args (sys.argv[1:] when None); prog_name is accepted for
         CliRunner and unused, as usage lines always name `seqfit`."""
+        if sys.stdout is None:  # closed at start: a pipe whose reader has left
+            read, write = os.pipe()
+            os.close(read)
+            sys.stdout = open(write, "w", closefd=False)
         try:
             code = _run(sys.argv[1:] if args is None else list(args))
             sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
@@ -288,44 +294,42 @@ def _format_fit(result, fmt: str) -> str:
             "verified against all input samples")
 
 
+def _cell(n: int, den: int, fmt: str) -> str:
+    """The cell n/den of `seqfit difftable` in fmt, as it prints."""
+    text = format_scalar(Rational(n, den), prefer_decimal=fmt != "json")
+    return f'"{text}"' if fmt == "json" else text
+
+
 def difftable_cmd(args) -> int:
     """Print the difference table of the sequence in INPUT_FILE (or stdin)."""
     den, ints = common_denominator(_read_values(args.input_file))
-    # a cell n/den in lowest terms p/q has |p| <= |n| and q | den, so it has at most
-    # digits(n) + bits(den) digits, and a b-bit n at most b*0.30103 + 1.  A row whose
-    # widest cell is within the limit prints; every row below a constant one holds 0s
-    limit = getattr(sys, "get_int_max_str_digits", int)()
-    try:  # format, keeping no text, the cells of each row that might not print, before any does
-        for row in _difference_rows(ints) if limit else ():
+    # walk the rows to the first constant one, top: every row below it holds 0s.  n/den in
+    # lowest terms p/q has |p| <= |n| and q | den, so at most digits(n) + bits(den) digits
+    # (a b-bit n: b*0.30103 + 1); a row that might pass the limit is formatted before printing
+    limit = getattr(sys, "get_int_max_str_digits", int)() or float("inf")  # 0: no limit
+    try:
+        for top, row in enumerate(_difference_rows(ints)):
             constant = row.count(row[0]) == len(row)
             if max(map(abs, row)).bit_length() * 30103 // 100000 + 1 + den.bit_length() > limit:
                 for n in row[:1] if constant else row:
-                    format_scalar(Rational(n, den), prefer_decimal=args.fmt != "json")
+                    _cell(n, den, args.fmt)
             if constant:
                 break
     except DomainError as exc:
         return _fail("format", exc)
-    for text in _table_text(den, ints, args.min_witnesses, args.fmt):
-        sys.stdout.write(text)
+    degree = top if len(row) >= args.min_witnesses else None  # where fit's scan stops
+    sys.stdout.writelines(_table_text(den, ints, top, degree, args.fmt))
     return 0
 
 
-def _table_text(den: int, ints: list[int], min_witnesses: int, fmt: str) -> Iterator[str]:
-    """The output of `seqfit difftable`, one row's text at a time.  Each integer
-    row of the difference table of ints over den is formatted as it is made, and
-    the degree is read off the same rows: the first constant one with at least
-    min_witnesses entries, as fit's degree scan finds it, or none.  Every row
-    below a constant row is constant too; a constant row's cell is formatted once."""
-    def cell(n: int) -> str:
-        text = format_scalar(Rational(n, den), prefer_decimal=fmt != "json")
-        return f'"{text}"' if fmt == "json" else text
-
-    diagonal, degree, constant = [], None, False
-    for r, row in enumerate(_difference_rows(ints)):
-        constant = constant or row.count(row[0]) == len(row)
-        if degree is None and constant and len(row) >= min_witnesses:
-            degree = r
-        cells = [cell(row[0])] * len(row) if constant else [cell(n) for n in row]
+def _table_text(den: int, ints: list[int], top: int, degree: int | None, fmt: str) -> Iterator[str]:
+    """The output of `seqfit difftable`, one row's text at a time: the difference rows of
+    ints over den above row top, the first constant one, formatted as they are made, row
+    top as its first cell repeated, and each row below it as 0 repeated, unsubtracted."""
+    diagonal, rows = [], _difference_rows(ints)
+    for r in range(len(ints)):
+        cells = ([_cell(n, den, fmt) for n in next(rows)] if r < top
+                 else [_cell(next(rows)[0] if r == top else 0, den, fmt)] * (len(ints) - r))
         if fmt == "json":
             diagonal.append(cells[0])
             yield (",\n    " if r else '{\n  "rows": [\n    ') + _json_list(cells, "    ")
@@ -335,8 +339,7 @@ def _table_text(den: int, ints: list[int], min_witnesses: int, fmt: str) -> Iter
         yield (f'\n  ],\n  "main_diagonal": {_json_list(diagonal, "  ")},\n'
                f'  "degree": {"null" if degree is None else degree}\n}}\n')
     else:
-        yield (f"degree: {degree}\n" if degree is not None
-               else "degree: not polynomial within observed window\n")
+        yield f"degree: {'not polynomial within observed window' if degree is None else degree}\n"
 
 
 def triangle_cmd(args) -> int:
@@ -348,8 +351,7 @@ def triangle_cmd(args) -> int:
             format_scalar(cell)
     except DomainError as exc:
         return _fail("format", exc)
-    for text in _triangle_text(kind, triangle_rows(kind, rows), args.fmt):
-        sys.stdout.write(text)
+    sys.stdout.writelines(_triangle_text(kind, triangle_rows(kind, rows), args.fmt))
     return 0
 
 
@@ -364,8 +366,7 @@ def _triangle_text(kind: TriangleKind, rows, fmt: str) -> Iterator[str]:
         for n, row in enumerate(rows):
             yield "".join(f"{i} {v}\n" for i, v in enumerate(row, start=n * (n + 1) // 2 + 1))
     else:
-        for row in rows:
-            yield "  ".join(map(str, row)) + "\n"
+        yield from ("  ".join(map(str, row)) + "\n" for row in rows)
 
 
 def verify_cmd(args) -> int:
@@ -385,8 +386,7 @@ def verify_cmd(args) -> int:
             report = crosscheck_triangle(kind, bfile, args.cells)
         except BFileError as exc:
             return _fail("oeis", exc)
-        status = "PASS" if report.ok else "FAIL"
-        print(f"{status}: {kind.value} vs {args.oeis_id}: "
+        print(f"{'PASS' if report.ok else 'FAIL'}: {kind.value} vs {args.oeis_id}: "
               f"{report.matched}/{report.cells_checked} cells matched")
         if report.first_mismatch:
             n, k, ours, theirs = report.first_mismatch

@@ -203,11 +203,20 @@ class TestDifftableCommand:
     @pytest.mark.parametrize("name", list(DIFFTABLE_INPUTS))
     def test_output_is_byte_identical_to_the_reference(self, name, fmt, min_witnesses):
         text = DIFFTABLE_INPUTS[name]
-        result = run(["difftable", f"--format={fmt}", f"--min-witnesses={min_witnesses}"],
-                     input=text.replace(" ", "\n"))
+        args = ["difftable", f"--format={fmt}", f"--min-witnesses={min_witnesses}"]
+        result = run(args, input=text.replace(" ", "\n"))
         assert result.exit_code == 0
         assert result.stdout == difftable_reference(text, fmt, min_witnesses)
         assert result.stderr == ""
+        if not hasattr(sys, "set_int_max_str_digits"):
+            return  # the interpreter has no int/str digit limit to lift
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)  # no limit: the walk to the first constant row still runs
+        try:
+            unlimited = run(args, input=text.replace(" ", "\n"))
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert (unlimited.exit_code, unlimited.stdout, unlimited.stderr) == (0, result.stdout, "")
 
     @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
                         reason="interpreter has no int/str digit limit")
@@ -326,6 +335,23 @@ class TestDifftableCommand:
         # rows 0..2 cell by cell (897 cells), then one call for each of the 297 constant
         # rows; about 45 000 calls, one a cell, when constant rows were formatted in full
         assert calls == 897 + 297
+
+    def test_the_printer_stops_differencing_at_the_first_constant_row(self, monkeypatch):
+        real, pulled = cli._difference_rows, 0
+
+        def counted(ints):
+            nonlocal pulled
+            for row in real(ints):
+                pulled += 1
+                yield row
+
+        monkeypatch.setattr(cli, "_difference_rows", counted)
+        result = run(["difftable"], input="".join(f"{i ** 3}\n" for i in range(300)))
+        assert result.exit_code == 0
+        assert result.stdout.endswith("row 299: 0\ndegree: 3\n")
+        # the walk and the printer each make rows 0..3; rows 4..299 hold only 0s and
+        # are printed without subtracting (4 + 300 when the printer made every row)
+        assert pulled == 4 + 4
 
     def test_table_output(self):
         result = run(["difftable"], input="10\n49\n628\n4915\n")
@@ -589,6 +615,41 @@ def test_import_cli_leaves_oeis_oracle_and_json_to_the_commands_that_use_them():
              "print(*(name in sys.modules for name in ('seqfit.oeis', 'seqfit.oracle', 'json')))")
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
     assert out.stdout == "False False False\n"
+
+
+@pytest.mark.skipif(os.name != "posix", reason="closes the child's fd before exec")
+@pytest.mark.parametrize("closed, args, code", [
+    (0, ["fit"], 2),
+    (0, ["difftable", "-"], 2),
+    (1, ["fit", "FILE"], 1),
+    (1, ["difftable", "FILE"], 1),
+    (1, ["triangle", "--kind", "awnt", "--rows", "5"], 1),
+    (1, ["verify", "--self"], 1),
+    (1, ["--version"], 1),
+    (1, ["fit", "FILE", "--start", "abc"], 2),
+    ("pipe", ["triangle", "--kind", "awnt", "--rows", "300"], 1),
+], ids=["fit, stdin closed", "difftable, stdin closed", "fit, stdout closed",
+        "difftable, stdout closed", "triangle, stdout closed", "verify, stdout closed",
+        "version, stdout closed", "usage error, stdout closed", "reader leaves after 10 bytes"])
+def test_a_closed_stream_exits_without_a_traceback(tmp_path, closed, args, code):
+    # a stdin closed when the interpreter starts is a usage error; a closed stdout
+    # fails as a stdout whose reader has left: exit 1 and nothing on stderr
+    args = [write_sequence(tmp_path, SEQ_START_ZERO) if a == "FILE" else a for a in args]
+    child = subprocess.Popen(
+        [sys.executable, "-m", "seqfit.cli", *args], stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE, preexec_fn=None if closed == "pipe" else lambda: os.close(closed))
+    if closed == "pipe":
+        assert len(child.stdout.read(10)) == 10
+    out = b"" if closed == "pipe" else child.stdout.read()
+    child.stdout.close()
+    err = child.stderr.read().decode()
+    child.stderr.close()
+    assert child.wait(timeout=60) == code
+    assert out == b""
+    if code == 2:
+        assert err.splitlines()[-1].startswith("Error: ")
+    else:
+        assert err == ""
 
 
 def test_version_flag():

@@ -91,5 +91,4 @@ def test_import_seqfit_loads_neither_dataclasses_nor_inspect():
 
 
 def test_import_cli_does_not_load_dataclasses():
-    # click itself imports inspect
-    assert loaded("import seqfit.cli", ("dataclasses",)) == ["False"]
+    assert loaded("import seqfit.cli", ("dataclasses", "inspect")) == ["False", "False"]
