@@ -303,38 +303,41 @@ def _cell(n: int, den: int, fmt: str) -> str:
 def difftable_cmd(args) -> int:
     """Print the difference table of the sequence in INPUT_FILE (or stdin)."""
     den, ints = common_denominator(_read_values(args.input_file))
-    # walk the rows to the first constant one, top: every row below it holds 0s.  n/den in
-    # lowest terms p/q has |p| <= |n| and q | den, so at most digits(n) + bits(den) digits
-    # (a b-bit n: b*0.30103 + 1); a row that might pass the limit is formatted before printing
-    limit = getattr(sys, "get_int_max_str_digits", int)() or float("inf")  # 0: no limit
+    # n/den in lowest terms p/q has |p| <= |n| and q | den, so at most b*0.30103 + 1 + bits(den)
+    # digits for a b-bit n: under a digit limit, each row whose widest entry has `wide` bits or
+    # more is formatted first.  2^r * max|ints| bounds row r, so 2^(m-1) * max|ints| bounds all
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # 0: no limit
+    wide = -((den.bit_length() - limit) * 100000 // 30103)
     try:
-        for top, row in enumerate(_difference_rows(ints)):
-            constant = row.count(row[0]) == len(row)
-            if max(map(abs, row)).bit_length() * 30103 // 100000 + 1 + den.bit_length() > limit:
-                for n in row[:1] if constant else row:
-                    _cell(n, den, args.fmt)
-            if constant:
-                break
+        if limit and max(map(abs, ints)).bit_length() + len(ints) - 1 >= wide:
+            for row in _difference_rows(ints):
+                if max(map(abs, row)).bit_length() >= wide:
+                    for n in row[:1] if row.count(row[0]) == len(row) else row:
+                        _cell(n, den, args.fmt)
     except DomainError as exc:
         return _fail("format", exc)
-    degree = top if len(row) >= args.min_witnesses else None  # where fit's scan stops
-    sys.stdout.writelines(_table_text(den, ints, top, degree, args.fmt))
+    sys.stdout.writelines(_table_text(den, ints, args.min_witnesses, args.fmt))
     return 0
 
 
-def _table_text(den: int, ints: list[int], top: int, degree: int | None, fmt: str) -> Iterator[str]:
+def _table_text(den: int, ints: list[int], min_witnesses: int, fmt: str) -> Iterator[str]:
     """The output of `seqfit difftable`, one row's text at a time: the difference rows of
-    ints over den above row top, the first constant one, formatted as they are made, row
-    top as its first cell repeated, and each row below it as 0 repeated, unsubtracted."""
-    diagonal, rows = [], _difference_rows(ints)
+    ints over den down to the first constant one, top, formatted as they are made, top as
+    its first cell repeated and each row below it as 0 repeated, unsubtracted.  Row top
+    is the degree when it has min_witnesses entries or more, where fit's scan stops."""
+    diagonal, top, rows = [], 0, enumerate(_difference_rows(ints))
     for r in range(len(ints)):
-        cells = ([_cell(n, den, fmt) for n in next(rows)] if r < top
-                 else [_cell(next(rows)[0] if r == top else 0, den, fmt)] * (len(ints) - r))
+        top, row = next(rows, (top, [0]))  # each row below row top holds only 0s
+        if row.count(row[0]) < len(row):
+            cells = [_cell(n, den, fmt) for n in row]
+        else:
+            cells = [_cell(row[0], den, fmt)] * (len(ints) - r)
         if fmt == "json":
             diagonal.append(cells[0])
             yield (",\n    " if r else '{\n  "rows": [\n    ') + _json_list(cells, "    ")
         else:
             yield f"row {r}: " + "  ".join(cells) + "\n"
+    degree = top if len(ints) - top >= min_witnesses else None
     if fmt == "json":
         yield (f'\n  ],\n  "main_diagonal": {_json_list(diagonal, "  ")},\n'
                f'  "degree": {"null" if degree is None else degree}\n}}\n')
@@ -345,9 +348,9 @@ def _table_text(den: int, ints: list[int], top: int, degree: int | None, fmt: st
 def triangle_cmd(args) -> int:
     """Print a number triangle with the given number of rows."""
     kind, rows = TriangleKind(args.kind), args.rows
-    limited = bool(getattr(sys, "get_int_max_str_digits", int)())
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # 0: no limit
     try:  # reject a triangle whose widest cell cannot print before any row does
-        for cell in cells_before_print(kind, rows, limited):
+        for cell in cells_before_print(kind, rows, limit):
             format_scalar(cell)
     except DomainError as exc:
         return _fail("format", exc)

@@ -26,9 +26,10 @@ DegreeReport = namedtuple("DegreeReport", "degree constant_row_value witnesses")
 
 
 def _difference_rows(row: list[int]) -> Iterator[list[int]]:
-    """Yield row, then each row of its successive differences, down to one entry."""
+    """Yield row, then each row of its successive differences, down to the first constant
+    one (a one-entry row is, so the rows always end): every row below it holds only 0s."""
     yield row
-    while len(row) > 1:
+    while row.count(row[0]) < len(row):
         row = list(map(sub, row[1:], row))
         yield row
 
@@ -54,17 +55,15 @@ def _check_degree_args(length: int, min_witnesses: int):
 
 
 def _first_constant_row(rows, min_witnesses: int):
-    """Scan rows down to the shallowest constant one with >= min_witnesses
-    entries; return the leading entries of the rows scanned and that row,
-    or None in its place when no row is constant."""
+    """Scan rows, as _difference_rows yields them, down to their last, the first
+    constant one; return the leading entries of the rows scanned and that row,
+    or None in its place when it has fewer than min_witnesses entries."""
     diagonal = []
     for row in rows:
         if len(row) < min_witnesses:
-            break
+            return diagonal, None
         diagonal.append(row[0])
-        if row.count(row[0]) == len(row):
-            return diagonal, row
-    return diagonal, None
+    return diagonal, row
 
 
 # The degree search's one tuning constant: past 2 * _PREFIX samples fit first

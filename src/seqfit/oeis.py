@@ -26,12 +26,8 @@ _LINE_RE = re.compile(r"(-?\d+)\s+(-?\d+)\Z")
 TRIANGLE_KINDS = {"A019538": TriangleKind.AWNT, "A028246": TriangleKind.MWNT}
 
 
-class BFile(namedtuple("BFile", "sequence_id entries")):
-    # sequence_id: str; entries: tuple of (index, value) int pairs
-    __slots__ = ()
-
-    def serialize(self) -> str:
-        return "".join(f"{i} {v}\n" for i, v in self.entries)
+# sequence_id: str; entries: tuple of (index, value) int pairs
+BFile = namedtuple("BFile", "sequence_id entries")
 
 
 class CrosscheckReport(namedtuple("CrosscheckReport", "kind cells_checked matched first_mismatch")):

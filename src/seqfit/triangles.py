@@ -143,17 +143,18 @@ def last_row(kind: TriangleKind, max_n: int) -> tuple[int, ...]:
     return _checked(kind, next(_scaled_rows(kind, max_n, max_n)))
 
 
-def cells_before_print(kind: TriangleKind, max_n: int, limited: bool) -> Iterator[int]:
+def cells_before_print(kind: TriangleKind, max_n: int, limit: int) -> Iterator[int]:
     """Cells of row max_n to format before any row prints, the widest last.
-    Under a digit limit, cells computed alone come first, so a size past it
-    fails before any Stirling row is built: k = 2 (about 2^max_n), the
-    diagonal max_n! or (max_n-1)!, then the cell near the row's peak, which
+    Under a digit limit (limit > 0), cells computed alone come first, so a size
+    past it fails before any Stirling row is built: k = 2 (at least 2^(max_n-1) - 1,
+    so past 4*limit + 1 rows 2^(4*limit), of over limit digits, stands in for it),
+    the diagonal max_n! or (max_n-1)!, then the cell near the row's peak, which
     passes 4300 digits at the same row as the widest: k = 0.721*max_n, near
     max_n/(2 ln 2) (rows 1485 AWNT, 1486 MWNT), or max_n // 6 (1982 stirling2)."""
-    if limited:
+    if limit:
         stirling = kind is TriangleKind.STIRLING2
         cell = stirling2 if stirling else awnt if kind is TriangleKind.AWNT else mwnt
-        yield cell(max_n, min(2, max_n))
+        yield cell(max_n, min(2, max_n)) if max_n <= 4 * limit + 1 else 1 << 4 * limit
         if not stirling:
             yield factorial(max_n - (kind is TriangleKind.MWNT))
         yield cell(max_n, max(1, max_n // 6 if stirling else max_n * 721 // 1000))

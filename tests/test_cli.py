@@ -211,7 +211,7 @@ class TestDifftableCommand:
         if not hasattr(sys, "set_int_max_str_digits"):
             return  # the interpreter has no int/str digit limit to lift
         limit = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(0)  # no limit: the walk to the first constant row still runs
+        sys.set_int_max_str_digits(0)  # no limit: no check walk runs, and the bytes are the same
         try:
             unlimited = run(args, input=text.replace(" ", "\n"))
         finally:
@@ -336,7 +336,26 @@ class TestDifftableCommand:
         # rows; about 45 000 calls, one a cell, when constant rows were formatted in full
         assert calls == 897 + 297
 
-    def test_the_printer_stops_differencing_at_the_first_constant_row(self, monkeypatch):
+    # (values, digit limit or None for the interpreter's own, rows made, the output's end)
+    PULL_CASES = {
+        # rows 4..299 hold only 0s and are printed without subtracting (300 when every row
+        # was made); the check walk's bound, 2^299 * 299^3, stays within 4300 digits
+        "cubes": ([i ** 3 for i in range(300)], None, 4, "row 299: 0\ndegree: 3\n"),
+        "cubes, no limit": ([i ** 3 for i in range(300)], 0, 4, "row 299: 0\ndegree: 3\n"),
+        # no row above the last is constant: the printer alone makes every row (twice as
+        # many when a walk ahead of it always ran)
+        "moved cubes": ([i ** 3 + (i == 1499) for i in range(1500)], None, 1500,
+                        "row 1499: 1\ndegree: not polynomial within observed window\n"),
+        # 2^299 * 299^3 * 10^630 may pass 640 digits, so the check walk makes rows 0..3 too
+        "cubes near the limit": ([i ** 3 * 10**630 for i in range(300)], 640, 4 + 4,
+                                 "row 299: 0\ndegree: 3\n"),
+    }
+
+    @pytest.mark.parametrize("name", list(PULL_CASES))
+    def test_the_printer_stops_differencing_at_the_first_constant_row(self, monkeypatch, name):
+        values, digits, expected, end = self.PULL_CASES[name]
+        if digits is not None and not hasattr(sys, "set_int_max_str_digits"):
+            pytest.skip("interpreter has no int/str digit limit")
         real, pulled = cli._difference_rows, 0
 
         def counted(ints):
@@ -346,12 +365,17 @@ class TestDifftableCommand:
                 yield row
 
         monkeypatch.setattr(cli, "_difference_rows", counted)
-        result = run(["difftable"], input="".join(f"{i ** 3}\n" for i in range(300)))
-        assert result.exit_code == 0
-        assert result.stdout.endswith("row 299: 0\ndegree: 3\n")
-        # the walk and the printer each make rows 0..3; rows 4..299 hold only 0s and
-        # are printed without subtracting (4 + 300 when the printer made every row)
-        assert pulled == 4 + 4
+        limit = getattr(sys, "get_int_max_str_digits", int)()
+        if digits is not None:
+            sys.set_int_max_str_digits(digits)
+        try:
+            result = run(["difftable"], input="".join(f"{v}\n" for v in values))
+        finally:
+            if digits is not None:
+                sys.set_int_max_str_digits(limit)
+        assert (result.exit_code, result.stderr) == (0, "")
+        assert result.stdout.endswith(end)
+        assert pulled == expected
 
     def test_table_output(self):
         result = run(["difftable"], input="10\n49\n628\n4915\n")
@@ -521,6 +545,28 @@ class TestTriangleCommand:
             sys.set_int_max_str_digits(limit)
         assert result.exit_code == 0
         assert result.stdout == expected
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                        reason="interpreter has no int/str digit limit")
+    @pytest.mark.parametrize("kind", ["awnt", "mwnt", "stirling2"])
+    def test_a_row_count_past_the_k_2_bound_builds_nothing(self, monkeypatch, kind):
+        # past 4 * 4300 + 1 rows the cell at k = 2, at least 2^(rows-1) - 1, has over 5160
+        # digits; at 10^9 rows it was a 125 MB integer that took 7.8 s to build and then fail
+        def built(*args):
+            raise AssertionError("a cell or a Stirling row built")
+
+        for name in ("awnt", "mwnt", "stirling2", "stirling_rows"):
+            monkeypatch.setattr(triangles, name, built)
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            with pytest.raises(SeqfitError) as cell_2:  # S(20000, 2), the smallest at k = 2
+                format_scalar(Fraction(2**19999 - 1))
+            result = run(["triangle", f"--kind={kind}", f"--rows={10**9}", "--format=bfile"])
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert (result.exit_code, result.stdout) == (1, "")
+        assert result.stderr == f"error (format): {cell_2.value}\n"
 
 
 class TestVerifyCommand:

@@ -2,11 +2,12 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from seqfit import AffineMap, difftable, fit
 from seqfit.errors import DomainError, NotPolynomialError
+from seqfit.numeric import common_denominator
 
 from conftest import DIAG_START_ONE, DIAG_START_ZERO
 from reference import build_table, detect_degree, diagonal_direct, scan_degree
@@ -214,6 +215,33 @@ def assert_scan_matches_the_full_table(values, min_witnesses):
     assert report == expected
     assert diagonal == table.main_diagonal[: report.degree + 1]
     assert list(diagonal) == [diagonal_direct(values, k) for k in range(report.degree + 1)]
+
+
+class TestDifferenceRows:
+    """difftable._difference_rows against the reference's full table."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(
+        st.lists(rationals, min_size=1, max_size=30),
+        st.builds(lambda value, m: [value] * m, rationals, st.integers(1, 12)),
+        st.builds(polynomial_samples, coefficients, rationals, rationals.filter(bool),
+                  st.integers(1, 12)),
+        st.builds(perturbed,
+                  st.builds(polynomial_samples, coefficients, st.just(0), st.just(1),
+                            st.integers(1, 12)),
+                  st.sampled_from(["first", "middle", "last"]), st.integers(1, 9)),
+    ))
+    @example([Fraction(-7, 3)])
+    @example([Fraction(3)] * 4)
+    @example([Fraction(2**i) for i in range(8)])
+    def test_rows_end_at_the_first_constant_row(self, values):
+        den, ints = common_denominator(values)
+        rows = list(difftable._difference_rows(ints))
+        reference = [[v * den for v in row] for row in build_table(values).rows]
+        top = len(rows) - 1
+        assert rows == reference[:top + 1]
+        assert [len(set(row)) == 1 for row in rows] == [False] * top + [True]
+        assert all(v == 0 for row in reference[top + 1:] for v in row)
 
 
 class TestScanDegree:

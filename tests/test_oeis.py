@@ -71,10 +71,6 @@ class TestParseBfile:
         with pytest.raises(BFileError, match="non-increasing"):
             parse_bfile("A019538", "2 1\n1 1\n")
 
-    def test_serialize_round_trip(self):
-        original = fetch_bfile("A019538", source="fixture")
-        assert parse_bfile("A019538", original.serialize()) == original
-
 
 class TestCrosscheck:
     def test_awnt_first_45_cells(self):

@@ -236,10 +236,10 @@ class TestCellsBeforePrint:
     def test_cells_are_of_the_last_row_and_the_widest_comes_last(self, kind):
         for n in range(1, 61):
             row = expected_rows(kind, n)[-1]
-            cells = list(triangles.cells_before_print(kind, n, limited=True))
+            cells = list(triangles.cells_before_print(kind, n, limit=4300))
             assert set(cells) <= set(row), n
             assert cells[-1] == max(row) == max(cells), n
-            assert list(triangles.cells_before_print(kind, n, limited=False)) == [max(row)], n
+            assert list(triangles.cells_before_print(kind, n, limit=0)) == [max(row)], n
 
 
 class TestTriangleCommandBytes:
