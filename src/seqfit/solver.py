@@ -116,18 +116,21 @@ def solve_start_one(diagonal, d: int) -> Polynomial:
 def _compose(poly: tuple[int, list[int]], grid: tuple[int, int, int]) -> tuple[int, list[int]]:
     """p(g(x)) over x, in integers: poly = (D, C) of degree d in g, the index
     of the points of grid (a, b, q), that is g(x) = (q*x - a)/b, as (D*b^d, X).
-    Horner's rule gives p(g(x)) * D * b^d = sum_j C_j * b^(d-j) * (q*x - a)^j."""
+    With r_j = C_j * b^(d-j), p(g(x)) * D * b^d = sum_j r_j * (q*x - a)^j: the
+    Taylor shift by -a (Ruffini's rule, d(d+1)/2 multiplies by the small a, none
+    when a = 0) gives the coefficients of (q*x)^k, and X_k = r_k * q^k."""
     den, coeffs = poly
     a, b, q = grid
-    result: list[int] = []
-    weight = 1  # b^(d-j)
-    for c in reversed(coeffs):  # result = result * (q*x - a) + c * b^(d-j)
-        result = [q * prev - a * cur for cur, prev in zip(result + [0], [0] + result)]
-        result[0] += c * weight
-        weight *= b
+    d = len(coeffs) - 1
+    r = [c * b ** (d - j) for j, c in enumerate(coeffs)]
+    if a:
+        for i in range(d):
+            for j in range(d - 1, i - 1, -1):
+                r[j] -= a * r[j + 1]
+    result = [c * q ** k for k, c in enumerate(r)]
     while len(result) > 1 and result[-1] == 0:
         result.pop()
-    return den * b ** (len(coeffs) - 1), result
+    return den * b ** d, result
 
 
 def _first_miss(poly: tuple[int, list[int]], samples: tuple[int, list[int]],

@@ -576,6 +576,8 @@ small_rationals = st.fractions(min_value=-50, max_value=50, max_denominator=10)
 wide_rationals = st.fractions(min_value=-10**9, max_value=10**9, max_denominator=10**6)
 steps = st.builds(lambda sign, size: sign * size, st.sampled_from((1, -1)),
                   st.fractions(min_value=Fraction(1, 10), max_value=10, max_denominator=10))
+# integer steps, and steps from 1/10 to 10 in size: rational, of either sign
+grid_steps = st.one_of(st.sampled_from((1, -1, 2, -3)).map(Fraction), steps)
 
 
 @st.composite
@@ -603,6 +605,22 @@ class TestSolverProperties:
         for x in (x0, x0 + h, Fraction(7, 3)):
             assert composed(x) == p((x - x0) / h)
 
+    # the degrees the high-degree fits compose at.  x0 = 0 gives a = 0, where the
+    # shift is skipped (off the own grid when h != 1), and x0 != 0 gives a != 0;
+    # grid_steps gives negative steps and |b| > 1.  No shrink phase, as in
+    # TestTheNewtonOracle
+    @pytest.mark.parametrize("x0s", [st.just(Fraction(0)), small_rationals.filter(bool)],
+                             ids=["x0=0", "x0!=0"])
+    @settings(max_examples=8, deadline=None,
+              phases=(Phase.explicit, Phase.reuse, Phase.generate))
+    @given(st.integers(min_value=26, max_value=80), st.data(), grid_steps)
+    def test_compose_affine_matches_fraction_horner_at_high_degree(self, x0s, d, data, h):
+        x0 = data.draw(x0s)
+        coeffs = data.draw(st.lists(small_rationals, min_size=d + 1, max_size=d + 1))
+        coeffs += [Fraction(0)] * data.draw(st.integers(min_value=0, max_value=2))
+        composed = compose_affine(Polynomial(coefficients=tuple(coeffs)), AffineMap(x0, h))
+        assert composed.coefficients == reference_compose(coeffs, x0, h)
+
     @settings(max_examples=100, deadline=None)
     @given(st.lists(small_rationals, min_size=1, max_size=7), small_rationals, steps,
            st.integers(min_value=2, max_value=5), st.sampled_from(("start_zero", "start_one")))
@@ -615,10 +633,6 @@ class TestSolverProperties:
         first = 1 if convention == "start_one" else 0
         indexed = [(first + i, v) for i, v in enumerate(values)]
         assert result.poly_in_g.coefficients == vandermonde_fit(indexed).coefficients
-
-
-# integer steps, and steps from 1/10 to 10 in size: rational, of either sign
-grid_steps = st.one_of(st.sampled_from((1, -1, 2, -3)).map(Fraction), steps)
 
 
 class TestTheNewtonOracle:
