@@ -133,7 +133,7 @@ Examples:
     sub.add_argument("--min-witnesses", type=_at_least(2), default=2)
 
     sub = command("triangle", triangle_cmd, "Print a number triangle with the given number of rows.")
-    sub.add_argument("--kind", choices=["mwnt", "awnt", "stirling2"], required=True)
+    sub.add_argument("--kind", choices=[kind.value for kind in TriangleKind], required=True)
     sub.add_argument("--rows", type=_at_least(1), required=True)
     sub.add_argument("--format", dest="fmt", choices=["table", "json", "bfile"], default="table")
 

@@ -67,13 +67,13 @@ def _first_constant_row(rows, min_witnesses: int):
 
 
 # The degree search's one tuning constant: past 2 * _PREFIX samples fit first
-# guesses the degree from the first _PREFIX, and the scan tests its deepest row
+# guesses the degree from the first _PREFIX, and the scan screens its deepest row
 # before any other.  On 250-500 samples of degree <= 5 (CPython 3.11, fit's time
 # against the full scan) a prefix of 16 and of 32 both took 0.64-0.66, 64 took 0.69-0.71.
 _PREFIX = 32
 
 
-# The modulus of the deepest-row test's first pass: a prime below 2**30, so each
+# The modulus of the deepest-row screen's first pass: a prime below 2**30, so each
 # residue is one CPython digit and each product there is big times one digit.
 _P = 1_000_000_007
 
@@ -95,20 +95,21 @@ def _binomials_mod_p(n: int) -> tuple[int, ...]:
     return tuple(residues)
 
 
-def _deepest_row_is_constant(ints: list[int], min_witnesses: int) -> bool:
-    """Whether row m - min_witnesses over ints, the deepest with min_witnesses
-    entries, is constant, without building the rows above it.
+def _deepest_row_may_be_constant(ints: list[int], min_witnesses: int, rest: bool = False) -> bool:
+    """Screen row m - min_witnesses over ints, the deepest with min_witnesses
+    entries, building no row: False proves it is not constant; True is no proof.
 
-    It is when its successive differences, the entries
+    The row is constant when its successive differences, the entries
     sum_j (-1)^(n-j) C(n, j) ints[i+j] (i < min_witnesses - 1) of row
     n = m - min_witnesses + 1, are all zero.  As C(n, j) = C(n, n-j), each is,
     up to its sign, one signed sum over j <= n // 2 of (-1)^j C(n, j) times
     ints[i+j] paired with ints[i+n-j], added when n is even and subtracted when
-    n is odd: n // 2 + 1 integer products.  Sum i reads ints[i..i+n], so the
-    sums at the two ends, i = 0 and min_witnesses - 2, come first, then those
-    at the other multiples of n + 1: together they read every sample, so one
-    moved sample shows within min_witnesses/(n+1) + 2 sums, O(m) products,
-    not after every zero sum before it.
+    n is odd: n // 2 + 1 integer products.  Sum i reads ints[i..i+n], so only
+    the sums at the two ends, i = 0 and min_witnesses - 2, and at the other
+    multiples of n + 1 are taken: together they read every sample, so one
+    moved sample shows within min_witnesses/(n+1) + 2 sums, O(m) products.
+    With rest set, the other sums are taken instead, and then True, after the
+    screen's, proves the row constant.
 
     Each sum is taken first modulo the prime _P, with (-1)^j C(n, j) mod _P in
     place of (-1)^j C(n, j): a sum that is not 0 mod _P is not 0, so the row is
@@ -120,9 +121,9 @@ def _deepest_row_is_constant(ints: list[int], min_witnesses: int) -> bool:
     n = len(ints) - min_witnesses + 1
     pair = sub if n % 2 else add
     last = min_witnesses - 2
-    order = sorted(range(last + 1), key=lambda i: (0 < i < last, i % (n + 1) != 0))
     residues, exact = _binomials_mod_p(n), None
-    for i in order:
+    screen = dict.fromkeys((0, last, *range(n + 1, last, n + 1)))
+    for i in [i for i in range(last) if i not in screen] if rest else screen:
         # ints[i+j] paired with ints[i+n-j] for j <= n // 2; an even n's middle term meets the 0
         terms = list(map(pair, ints[i:i + n // 2 + 1], ints[i + n:i + n // 2:-1] + [0]))
         if sum(map(mul, residues, terms)) % _P:
@@ -136,6 +137,26 @@ def _deepest_row_is_constant(ints: list[int], min_witnesses: int) -> bool:
     return True
 
 
+def _screened_rows(ints: list[int], min_witnesses: int) -> Iterator[list[int]]:
+    """_difference_rows(ints) while row m - min_witnesses may be constant.
+    The screen runs before the first row, and the other sums of that row at
+    row min_witnesses * n // (2 * m), when the walk has built about as many
+    cells as they take products in a pass: a row that is not constant costs
+    O(min_witnesses * n) operations, as taking every sum does, and polynomial
+    input O(m * (degree + 1)).  Once the row is proved not constant, an empty
+    row, with fewer than min_witnesses entries, ends the scan."""
+    m = len(ints)
+    if _deepest_row_may_be_constant(ints, min_witnesses):
+        for depth, row in enumerate(_difference_rows(ints)):
+            if depth == min_witnesses * (m - min_witnesses + 1) // (2 * m) and \
+                    not _deepest_row_may_be_constant(ints, min_witnesses, rest=True):
+                break
+            yield row
+        else:
+            return
+    yield []
+
+
 def scan_degree_scaled(denominator: int, ints: list[int],
                        min_witnesses: int = 2) -> tuple[DegreeReport, list[int]]:
     """The shallowest constant difference row with at least min_witnesses
@@ -143,19 +164,20 @@ def scan_degree_scaled(denominator: int, ints: list[int],
     common_denominator(values) returns them, ints[i] = denominator * values[i];
     the diagonal entries are integers over the same denominator.
 
-    Rows are built one at a time down to the first constant one: O(m) memory
-    and O(m * (degree + 1)) integer operations for m values.  Past 2 * _PREFIX
-    values it first tests row m - min_witnesses, the deepest it could reach,
-    in O(m * min_witnesses): a constant row makes every deeper row constant,
-    so if that row is not constant, no row is, and non-polynomial input costs
-    that, not O(m^2).  Raises NotPolynomialError, carrying the deepest row
+    Rows are built one at a time down to the first constant one, and that walk
+    alone decides: O(m) memory and O(m * (degree + 1)) integer operations for
+    m values.  Past 2 * _PREFIX values _screened_rows bounds it: a constant row
+    makes every deeper row constant, so if row m - min_witnesses, the deepest
+    the walk could reach, is not constant, no row is, and such input costs O(m)
+    products when the screen sees it, O(min_witnesses * (m - min_witnesses))
+    at most, not O(m^2).  Raises NotPolynomialError, carrying the deepest row
     with min_witnesses entries (-1 when there is none), when no row is constant.
     """
     m = len(ints)
     _check_degree_args(m, min_witnesses)
-    row = None
-    if m <= 2 * _PREFIX or m < min_witnesses or _deepest_row_is_constant(ints, min_witnesses):
-        diagonal, row = _first_constant_row(_difference_rows(ints), min_witnesses)
+    screened = m > 2 * _PREFIX and m >= min_witnesses
+    rows = _screened_rows(ints, min_witnesses) if screened else _difference_rows(ints)
+    diagonal, row = _first_constant_row(rows, min_witnesses)
     if row is None:
         deepest = max(m - min_witnesses, -1)
         raise NotPolynomialError(
@@ -186,8 +208,8 @@ def _degree_candidates(denominator: int, ints: list[int],
     forward formula), and every full row above d holds a non-constant prefix
     row of at least 3 entries: the full scan would stop at row d with the
     same diagonal.  When m - d < min_witnesses and the samples do lie on the
-    guess's polynomial, row m - min_witnesses < d is not constant, and
-    scan_degree_scaled's up-front test of that row rejects the input at once.
+    guess's polynomial, row m - min_witnesses < d is not constant: the scan's
+    screen, or its walk, which stops above row d, rejects the input in O(m * d).
     """
     _check_degree_args(len(ints), min_witnesses)
     m = len(ints)

@@ -321,9 +321,11 @@ class TestScanDegree:
             fit(values, AffineMap(Fraction(0), Fraction(1)), min_witnesses=min_witnesses)
 
 
-class TestDeepestRowIsConstant:
-    """difftable._deepest_row_is_constant against the full table, and the
-    order of its sums: those at the two ends of the input first."""
+class TestDeepestRowMayBeConstant:
+    """difftable._deepest_row_may_be_constant against the full table, and its
+    cost.  The screen takes only the sums at i = 0, at min_witnesses - 2 and at
+    the multiples of n + 1, and its False proves the row not constant; with
+    rest set it takes the other sums, and then decides."""
 
     @staticmethod
     def cubic(m, where=None):
@@ -331,12 +333,13 @@ class TestDeepestRowIsConstant:
         values = [Fraction(i**3 - 2 * i) for i in range(m)]
         return [int(v) for v in (perturbed(values, where, 1) if where else values)]
 
+    # on these inputs the screen is exact: its sums see every moved sample
     @pytest.mark.parametrize("where", [None, "first", "middle", "last"])
     @pytest.mark.parametrize("min_witnesses", [2, 3, 10, 20, 30, 36, 37, 38, 40])
     def test_matches_the_full_scan(self, where, min_witnesses):
         ints = self.cubic(40, where)
         row = build_table(ints).rows[len(ints) - min_witnesses]
-        assert difftable._deepest_row_is_constant(ints, min_witnesses) == \
+        assert difftable._deepest_row_may_be_constant(ints, min_witnesses) == \
             (row.count(row[0]) == len(row))
 
     @settings(max_examples=200, deadline=None)
@@ -345,7 +348,9 @@ class TestDeepestRowIsConstant:
         """Up to 150 samples of a polynomial or of b^i (b negative too), one of
         them perhaps moved (by a multiple of _P too, so that every sum is 0
         mod _P and only the exact sums decide), and any min_witnesses from 2
-        to m, so that n = m - min_witnesses + 1 takes both parities."""
+        to m, so that n = m - min_witnesses + 1 takes both parities.  The
+        screen says False only of a row that is not constant, and the scan
+        it guards agrees with the reference scan of the full table."""
         m = data.draw(st.integers(min_value=2, max_value=150))
         if data.draw(st.booleans()):
             base = data.draw(st.sampled_from((-5, -3, -2, -1, 2, 3, 5)))
@@ -357,13 +362,88 @@ class TestDeepestRowIsConstant:
             ints[data.draw(st.integers(0, m - 1))] += data.draw(
                 st.sampled_from((-1, 1, 7, difftable._P, -difftable._P, 2 * difftable._P)))
         min_witnesses = data.draw(st.integers(min_value=2, max_value=m))
-        row = build_table(ints).rows[m - min_witnesses]
-        assert difftable._deepest_row_is_constant(ints, min_witnesses) == \
-            all(v == row[0] for v in row)
+        table = build_table(ints)
+        row = table.rows[m - min_witnesses]
+        constant = all(v == row[0] for v in row)
+        assert difftable._deepest_row_may_be_constant(ints, min_witnesses) or not constant
+        try:
+            report = detect_degree(table, min_witnesses)
+        except NotPolynomialError as expected:
+            with pytest.raises(NotPolynomialError) as raised:
+                difftable.scan_degree_scaled(1, ints, min_witnesses)
+            assert str(raised.value) == str(expected)
+            assert raised.value.deepest_row == expected.deepest_row
+            return
+        assert difftable.scan_degree_scaled(1, ints, min_witnesses) == \
+            (report, list(table.main_diagonal[:report.degree + 1]))
+
+    def test_a_true_screen_of_a_row_that_is_not_constant_leaves_the_walk_to_decide(self):
+        # 2 C(i, 43) - 27 C(i, 42), i < 70: with 30 witnesses n = 41, and the
+        # screen's two sums, at i = 0 and 28, are 0, though row 40 is not constant
+        ints = [2 * math.comb(i, 43) - 27 * math.comb(i, 42) for i in range(70)]
+        row = build_table(ints).rows[40]
+        assert row.count(row[0]) < len(row)
+        assert difftable._deepest_row_may_be_constant(ints, 30)
+        message = ("no constant row with >= 30 entries down to row 40; "
+                   "not polynomial within the observed window")
+        with pytest.raises(NotPolynomialError) as raised:
+            difftable.scan_degree_scaled(1, ints, 30)
+        assert (str(raised.value), raised.value.deepest_row) == (message, 40)
+        with pytest.raises(NotPolynomialError) as raised:
+            fit([Fraction(v) for v in ints], AffineMap(Fraction(0), Fraction(1)), min_witnesses=30)
+        assert (str(raised.value), raised.value.deepest_row) == (message, 40)
 
     @staticmethod
-    def products_to_reject(monkeypatch, ints, min_witnesses):
-        """The integer products _deepest_row_is_constant takes to reject ints."""
+    def screen_passing(m, min_witnesses):
+        """m samples whose row m - min_witnesses is not constant, though the
+        screen's sums, at i = 0 and min_witnesses - 2 only, are 0: with 4
+        witnesses m - 2 zeros, then 1 and n = m - 3 (sum 2 is n - n); else
+        2 C(i, n + 2) - (min_witnesses - 3) C(i, n + 1), whose sum i is
+        i (i - 1) - (min_witnesses - 3) i, as in the test above."""
+        n = m - min_witnesses + 1
+        if min_witnesses == 4:
+            return [0] * (m - 2) + [1, n]
+        return [2 * math.comb(i, n + 2) - (min_witnesses - 3) * math.comb(i, n + 1) for i in range(m)]
+
+    @pytest.mark.parametrize("m, min_witnesses", [(70, 4), (2000, 4), (70, 30), (400, 200)])
+    def test_a_walk_past_a_true_screen_is_cut_short_by_the_other_sums(
+            self, monkeypatch, m, min_witnesses):
+        # the walk stops at row min_witnesses * n // (2m), where the other sums
+        # reject the row, not at row n after O(m * n) cells of growing integers
+        ints = self.screen_passing(m, min_witnesses)
+        if m <= 100:
+            row = build_table(ints).rows[m - min_witnesses]
+            assert row.count(row[0]) < len(row)
+        assert difftable._deepest_row_may_be_constant(ints, min_witnesses)
+        assert not difftable._deepest_row_may_be_constant(ints, min_witnesses, rest=True)
+        rows, real = 0, difftable._difference_rows
+
+        def counted(ints):
+            nonlocal rows
+            for row in real(ints):
+                rows += 1
+                yield row
+
+        monkeypatch.setattr(difftable, "_difference_rows", counted)
+        with pytest.raises(NotPolynomialError) as raised:
+            difftable.scan_degree_scaled(1, ints, min_witnesses)
+        assert raised.value.deepest_row == m - min_witnesses
+        n = m - min_witnesses + 1
+        assert rows == min_witnesses * n // (2 * m) + 1
+
+    @pytest.mark.parametrize("m, min_witnesses", [(100, 4), (100, 30), (100, 60)])
+    def test_the_screen_and_the_other_sums_take_every_sum_once(self, monkeypatch, m, min_witnesses):
+        # on a constant row every sum is 0 and taken both ways, n // 2 + 1 products a pass
+        ints = self.cubic(m)
+        constant, screen = self.screened(monkeypatch, ints, min_witnesses)
+        constant_too, others = self.screened(monkeypatch, ints, min_witnesses, rest=True)
+        assert constant and constant_too
+        assert screen + others == 2 * (min_witnesses - 1) * ((m - min_witnesses + 1) // 2 + 1)
+
+    @staticmethod
+    def screened(monkeypatch, ints, min_witnesses, rest=False):
+        """_deepest_row_may_be_constant's answer on ints (on its other sums with
+        rest set) and the integer products it took."""
         products = 0
 
         def counted(a, b):
@@ -372,8 +452,22 @@ class TestDeepestRowIsConstant:
             return a * b
 
         monkeypatch.setattr(difftable, "mul", counted)
-        assert not difftable._deepest_row_is_constant(ints, min_witnesses)
+        return difftable._deepest_row_may_be_constant(ints, min_witnesses, rest), products
+
+    @classmethod
+    def products_to_reject(cls, monkeypatch, ints, min_witnesses):
+        """The integer products _deepest_row_may_be_constant takes to reject ints."""
+        constant, products = cls.screened(monkeypatch, ints, min_witnesses)
+        assert not constant
         return products
+
+    def test_a_constant_row_is_accepted_in_two_sums(self, monkeypatch):
+        # n = 2001: the sums at i = 0 and 1998 read every sample, and no other
+        # multiple of n + 1 lies between them; each is 0, so it is taken both ways
+        m, min_witnesses = 4000, 2000
+        constant, products = self.screened(monkeypatch, self.cubic(m), min_witnesses)
+        assert constant
+        assert products == 2 * 2 * ((m - min_witnesses + 1) // 2 + 1)
 
     # m = 400 samples; each sum is n // 2 + 1 products, n = m - min_witnesses + 1,
     # modulo _P, and as many again exactly when it is 0 mod _P.  In order from

@@ -29,7 +29,7 @@ from conftest import (
     DIAG_START_ONE,
     DIAG_START_ZERO,
 )
-from reference import build_table, compose_affine, newton_fit, scan_degree
+from reference import build_table, compose_affine, detect_degree, newton_fit, scan_degree
 
 
 def poly(*coeffs):
@@ -655,6 +655,31 @@ class TestTheNewtonOracle:
         first = 1 if convention == "start_one" else 0
         assert result.poly_in_g.coefficients == newton_fit(first, 1, values)
 
+    # d >= 31: the prefix of 32 samples has no constant row with 2 entries, so
+    # fit reaches the scan, and past 64 samples its deepest-row screen; up to
+    # m - d + 2 witnesses, so that the input is rejected too
+    @settings(max_examples=10, deadline=None,
+              phases=(Phase.explicit, Phase.reuse, Phase.generate))
+    @given(st.integers(min_value=31, max_value=40), st.integers(min_value=65, max_value=130),
+           st.data(), small_rationals, grid_steps)
+    def test_fit_agrees_with_it_on_the_scan_path(self, d, m, data, x0, h):
+        leading = data.draw(small_rationals.filter(bool))
+        coeffs = (*data.draw(st.lists(small_rationals, min_size=d, max_size=d)), leading)
+        values = [Polynomial(coefficients=coeffs)(x0 + i * h) for i in range(m)]
+        if data.draw(st.booleans()):
+            values[data.draw(st.integers(0, m - 1))] += data.draw(small_rationals.filter(bool))
+        w = data.draw(st.integers(min_value=2, max_value=m - d + 2))
+        try:
+            detect_degree(build_table(values), w)
+        except NotPolynomialError as expected:
+            with pytest.raises(NotPolynomialError) as raised:
+                fit(values, AffineMap(x0, h), min_witnesses=w)
+            assert str(raised.value) == str(expected)
+            assert raised.value.deepest_row == expected.deepest_row
+            return
+        assert fit(values, AffineMap(x0, h), min_witnesses=w).poly_in_x.coefficients == \
+            newton_fit(x0, h, values) == coeffs
+
     @settings(max_examples=60, deadline=None)
     @given(st.lists(small_rationals, min_size=1, max_size=26), small_rationals, grid_steps)
     def test_it_agrees_with_the_vandermonde_oracle(self, values, x0, h):
@@ -768,16 +793,16 @@ class TestLongInputs:
 
     def test_many_witnesses_need_no_deepest_row_test(self, monkeypatch):
         # the prefix guess needs 2 entries per row, not min_witnesses, so the
-        # O(min_witnesses * m) test of row m - min_witnesses never runs here
+        # O(m) screen of row m - min_witnesses, and the scan, never run here
         tests = 0
-        real = difftable._deepest_row_is_constant
+        real = difftable._deepest_row_may_be_constant
 
         def counted(*args):
             nonlocal tests
             tests += 1
             return real(*args)
 
-        monkeypatch.setattr(difftable, "_deepest_row_is_constant", counted)
+        monkeypatch.setattr(difftable, "_deepest_row_may_be_constant", counted)
         values = [Fraction(i**10 - 3 * i) for i in range(4000)]
         result = fit(values, AffineMap(Fraction(0), Fraction(1)), min_witnesses=2000)
         assert (result.degree_report.degree, result.degree_report.witnesses) == (10, 3990)

@@ -9,7 +9,7 @@ from math import factorial
 import pytest
 from click.testing import CliRunner
 
-from seqfit import TriangleKind, awnt, binomial, build_triangle, mwnt, stirling2
+from seqfit import TriangleKind, awnt, build_triangle, mwnt, stirling2
 from seqfit import triangles
 from seqfit.cli import main
 from seqfit.errors import DomainError, InternalConsistencyError
@@ -157,33 +157,6 @@ class TestBuildTriangle:
     def test_bad_max_n(self):
         with pytest.raises(DomainError):
             build_triangle(TriangleKind.MWNT, 0)
-
-
-class TestIdentities:
-    def test_factorial_stirling_forms(self):
-        for n in range(1, 13):
-            for k in range(1, n + 1):
-                s = stirling2(n, k)
-                assert awnt(n, k) == factorial(k) * s
-                assert mwnt(n, k) == factorial(k - 1) * s
-                assert awnt(n, k) == k * mwnt(n, k)
-
-    def test_diagonal_factorials_and_zeros(self):
-        for k in range(1, 13):
-            assert awnt(k, k) == factorial(k)
-            assert mwnt(k, k) == factorial(k - 1)
-            for n in range(1, k):
-                assert awnt(n, k) == 0
-
-    def test_shifted_binomial_sum_equals_mwnt(self):
-        # sum_{i=1}^{k} (-1)^(k-i) C(k-1, i-1) i^q == mwnt(q+1, k)
-        for q in range(0, 11):
-            for k in range(1, 11):
-                total = sum(
-                    (-1) ** (k - i) * binomial(k - 1, i - 1) * i**q
-                    for i in range(1, k + 1)
-                )
-                assert total == mwnt(q + 1, k), (q, k)
 
 
 # entry(n, k) / S(n, k) per kind
