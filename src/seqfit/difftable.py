@@ -54,18 +54,6 @@ def _check_degree_args(length: int, min_witnesses: int):
         raise DomainError("degree detection needs a sequence of length >= 2")
 
 
-def _first_constant_row(rows, min_witnesses: int):
-    """Scan rows, as _difference_rows yields them, down to their last, the first
-    constant one; return the leading entries of the rows scanned and that row,
-    or None in its place when it has fewer than min_witnesses entries."""
-    diagonal = []
-    for row in rows:
-        if len(row) < min_witnesses:
-            return diagonal, None
-        diagonal.append(row[0])
-    return diagonal, row
-
-
 # The degree search's one tuning constant: past 2 * _PREFIX samples fit first
 # guesses the degree from the first _PREFIX, and the scan screens its deepest row
 # before any other.  On 250-500 samples of degree <= 5 (CPython 3.11, fit's time
@@ -137,26 +125,6 @@ def _deepest_row_may_be_constant(ints: list[int], min_witnesses: int, rest: bool
     return True
 
 
-def _screened_rows(ints: list[int], min_witnesses: int) -> Iterator[list[int]]:
-    """_difference_rows(ints) while row m - min_witnesses may be constant.
-    The screen runs before the first row, and the other sums of that row at
-    row min_witnesses * n // (2 * m), when the walk has built about as many
-    cells as they take products in a pass: a row that is not constant costs
-    O(min_witnesses * n) operations, as taking every sum does, and polynomial
-    input O(m * (degree + 1)).  Once the row is proved not constant, an empty
-    row, with fewer than min_witnesses entries, ends the scan."""
-    m = len(ints)
-    if _deepest_row_may_be_constant(ints, min_witnesses):
-        for depth, row in enumerate(_difference_rows(ints)):
-            if depth == min_witnesses * (m - min_witnesses + 1) // (2 * m) and \
-                    not _deepest_row_may_be_constant(ints, min_witnesses, rest=True):
-                break
-            yield row
-        else:
-            return
-    yield []
-
-
 def scan_degree_scaled(denominator: int, ints: list[int],
                        min_witnesses: int = 2) -> tuple[DegreeReport, list[int]]:
     """The shallowest constant difference row with at least min_witnesses
@@ -164,33 +132,40 @@ def scan_degree_scaled(denominator: int, ints: list[int],
     common_denominator(values) returns them, ints[i] = denominator * values[i];
     the diagonal entries are integers over the same denominator.
 
-    Rows are built one at a time down to the first constant one, and that walk
-    alone decides: O(m) memory and O(m * (degree + 1)) integer operations for
-    m values.  Past 2 * _PREFIX values _screened_rows bounds it: a constant row
-    makes every deeper row constant, so if row m - min_witnesses, the deepest
-    the walk could reach, is not constant, no row is, and such input costs O(m)
-    products when the screen sees it, O(min_witnesses * (m - min_witnesses))
-    at most, not O(m^2).  Raises NotPolynomialError, carrying the deepest row
-    with min_witnesses entries (-1 when there is none), when no row is constant.
+    One loop walks the rows one at a time down to the first constant one, and
+    that walk alone decides: O(m) memory and O(m * (degree + 1)) integer
+    operations for m values.  A constant row makes every deeper row constant,
+    so if row m - min_witnesses, the deepest the walk could reach, is not
+    constant, no row is.  Past 2 * _PREFIX values the deepest-row screen runs
+    before the loop, and such input costs O(m) products when the screen sees
+    it.  The screen's other sums run inside the loop at row
+    min_witnesses * n // (2 * m), n = m - min_witnesses + 1, when the walk has
+    built about as many cells as they take products in a pass: a row that is
+    not constant costs O(min_witnesses * n) operations at most, as taking
+    every sum does, and polynomial input O(m * (degree + 1)).  Raises
+    NotPolynomialError, carrying the deepest row with min_witnesses entries
+    (-1 when there is none), when no row is constant.
     """
     m = len(ints)
     _check_degree_args(m, min_witnesses)
     screened = m > 2 * _PREFIX and m >= min_witnesses
-    rows = _screened_rows(ints, min_witnesses) if screened else _difference_rows(ints)
-    diagonal, row = _first_constant_row(rows, min_witnesses)
-    if row is None:
-        deepest = max(m - min_witnesses, -1)
-        raise NotPolynomialError(
-            f"no constant row with >= {min_witnesses} entries down to row {deepest}; "
-            "not polynomial within the observed window",
-            deepest_row=deepest,
-        )
-    report = DegreeReport(
-        degree=len(diagonal) - 1,
-        constant_row_value=Rational(row[0], denominator),
-        witnesses=len(row),
+    if not screened or _deepest_row_may_be_constant(ints, min_witnesses):
+        rest_at = min_witnesses * (m - min_witnesses + 1) // (2 * m) if screened else -1
+        diagonal = []
+        for depth, row in enumerate(_difference_rows(ints)):
+            if len(row) < min_witnesses or depth == rest_at and \
+                    not _deepest_row_may_be_constant(ints, min_witnesses, rest=True):
+                break
+            diagonal.append(row[0])
+        else:
+            return DegreeReport(degree=len(diagonal) - 1, witnesses=len(row),
+                                constant_row_value=Rational(row[0], denominator)), diagonal
+    deepest = max(m - min_witnesses, -1)
+    raise NotPolynomialError(
+        f"no constant row with >= {min_witnesses} entries down to row {deepest}; "
+        "not polynomial within the observed window",
+        deepest_row=deepest,
     )
-    return report, diagonal
 
 
 def _degree_candidates(denominator: int, ints: list[int],
@@ -200,8 +175,9 @@ def _degree_candidates(denominator: int, ints: list[int],
     guess read off the first _PREFIX values only, then scan_degree_scaled's
     answer.
 
-    The guess is the first constant row, at depth d, among the difference
-    rows of ints[:_PREFIX] with at least 2 entries, and is yielded only when
+    The guess is the last of the difference rows of ints[:_PREFIX], at most
+    _PREFIX rows of at most _PREFIX entries, when it has at least 2 entries:
+    the first constant row among them, at depth d.  It is yielded only when
     m - d >= min_witnesses, with m - d witnesses.  It is exact whenever its
     polynomial reproduces all m samples.  The prefix rows are prefixes of the
     full rows, so then full row d is constant with m - d entries (Newton's
@@ -209,14 +185,14 @@ def _degree_candidates(denominator: int, ints: list[int],
     row of at least 3 entries: the full scan would stop at row d with the
     same diagonal.  When m - d < min_witnesses and the samples do lie on the
     guess's polynomial, row m - min_witnesses < d is not constant: the scan's
-    screen, or its walk, which stops above row d, rejects the input in O(m * d).
+    screen, or its loop, which stops above row d, rejects the input in O(m * d).
     """
     _check_degree_args(len(ints), min_witnesses)
     m = len(ints)
     if m > 2 * _PREFIX:
-        diagonal, row = _first_constant_row(_difference_rows(ints[:_PREFIX]), 2)
-        d = len(diagonal) - 1
-        if row is not None and m - d >= min_witnesses:
-            yield DegreeReport(degree=d, constant_row_value=Rational(row[0], denominator),
-                               witnesses=m - d), diagonal
+        rows = list(_difference_rows(ints[:_PREFIX]))
+        d = len(rows) - 1
+        if len(rows[-1]) >= 2 and m - d >= min_witnesses:
+            yield DegreeReport(degree=d, constant_row_value=Rational(rows[-1][0], denominator),
+                               witnesses=m - d), [row[0] for row in rows]
     yield scan_degree_scaled(denominator, ints, min_witnesses)

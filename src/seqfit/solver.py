@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections import namedtuple
 from math import factorial, gcd
 
-from .difftable import DegreeReport, _degree_candidates, _newton_values
+from .difftable import _degree_candidates, _newton_values
 from .errors import DomainError, InconsistentSequenceError
 from .numeric import Rational, common_denominator
 from .triangles import awnt  # noqa: F401 -- unused here, kept for importers of seqfit.solver.awnt

@@ -342,16 +342,13 @@ class TestDeepestRowMayBeConstant:
         assert difftable._deepest_row_may_be_constant(ints, min_witnesses) == \
             (row.count(row[0]) == len(row))
 
-    @settings(max_examples=200, deadline=None)
-    @given(st.data())
-    def test_matches_the_reference_table(self, data):
-        """Up to 150 samples of a polynomial or of b^i (b negative too), one of
-        them perhaps moved (by a multiple of _P too, so that every sum is 0
+    @staticmethod
+    def reference_input(data, min_m):
+        """min_m to 150 samples of a polynomial or of b^i (b negative too), one
+        of them perhaps moved (by a multiple of _P too, so that every sum is 0
         mod _P and only the exact sums decide), and any min_witnesses from 2
-        to m, so that n = m - min_witnesses + 1 takes both parities.  The
-        screen says False only of a row that is not constant, and the scan
-        it guards agrees with the reference scan of the full table."""
-        m = data.draw(st.integers(min_value=2, max_value=150))
+        to m, so that n = m - min_witnesses + 1 takes both parities."""
+        m = data.draw(st.integers(min_value=min_m, max_value=150))
         if data.draw(st.booleans()):
             base = data.draw(st.sampled_from((-5, -3, -2, -1, 2, 3, 5)))
             ints = [base**i for i in range(m)]
@@ -361,7 +358,16 @@ class TestDeepestRowMayBeConstant:
         if data.draw(st.booleans()):
             ints[data.draw(st.integers(0, m - 1))] += data.draw(
                 st.sampled_from((-1, 1, 7, difftable._P, -difftable._P, 2 * difftable._P)))
-        min_witnesses = data.draw(st.integers(min_value=2, max_value=m))
+        return ints, data.draw(st.integers(min_value=2, max_value=m))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matches_the_reference_table(self, data):
+        """On reference_input from 2 samples up, the screen says False only of
+        a row that is not constant, and the scan it guards agrees with the
+        reference scan of the full table."""
+        ints, min_witnesses = self.reference_input(data, 2)
+        m = len(ints)
         table = build_table(ints)
         row = table.rows[m - min_witnesses]
         constant = all(v == row[0] for v in row)
@@ -376,6 +382,64 @@ class TestDeepestRowMayBeConstant:
             return
         assert difftable.scan_degree_scaled(1, ints, min_witnesses) == \
             (report, list(table.main_diagonal[:report.degree + 1]))
+
+    @staticmethod
+    def scan_work(ints, min_witnesses):
+        """scan_degree_scaled(1, ints, min_witnesses)'s answer, or its
+        NotPolynomialError, with the rows it pulled from _difference_rows and
+        the rest flag of each _deepest_row_may_be_constant call it made."""
+        rows, calls = 0, []
+        real_rows, real_screen = difftable._difference_rows, difftable._deepest_row_may_be_constant
+
+        def counted_rows(ints):
+            nonlocal rows
+            for row in real_rows(ints):
+                rows += 1
+                yield row
+
+        def counted_screen(ints, min_witnesses, rest=False):
+            calls.append(rest)
+            return real_screen(ints, min_witnesses, rest)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(difftable, "_difference_rows", counted_rows)
+            patch.setattr(difftable, "_deepest_row_may_be_constant", counted_screen)
+            try:
+                outcome = difftable.scan_degree_scaled(1, ints, min_witnesses)
+            except NotPolynomialError as error:
+                outcome = error
+        return outcome, rows, calls
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_the_scan_screens_once_and_takes_the_other_sums_at_row_c(self, data):
+        """On reference_input past 2 * _PREFIX samples, where the scan is
+        screened, with c = min_witnesses * n // (2m): the screen runs once; an
+        answer of degree d pulls d + 1 rows and takes the other sums once when
+        d >= c, never otherwise; a rejection pulls no row (the screen's) or
+        c + 1 rows (the other sums')."""
+        ints, min_witnesses = self.reference_input(data, 2 * difftable._PREFIX + 1)
+        m = len(ints)
+        c = min_witnesses * (m - min_witnesses + 1) // (2 * m)
+        outcome, rows, calls = self.scan_work(ints, min_witnesses)
+        assert calls[0] is False and calls.count(False) == 1
+        if isinstance(outcome, NotPolynomialError):
+            assert (rows, calls[1:]) in ((0, []), (c + 1, [True]))
+        else:
+            d = outcome[0].degree
+            assert rows == d + 1
+            assert calls[1:] == ([True] if d >= c else [])
+
+    @pytest.mark.parametrize("m, power, min_witnesses, rows, calls", [
+        (2000, 31, 1000, 32, [False]),  # c = 250: the walk ends at row 31, above c
+        (200, 40, 10, 41, [False, True]),  # c = 4: the other sums at row 4, then row 40
+    ])
+    def test_the_scan_takes_the_other_sums_only_when_the_walk_reaches_row_c(
+            self, m, power, min_witnesses, rows, calls):
+        ints = [i**power - 7 * i for i in range(m)]
+        outcome, pulled, made = self.scan_work(ints, min_witnesses)
+        assert (outcome[0].degree, outcome[0].witnesses) == (power, m - power)
+        assert (pulled, made) == (rows, calls)
 
     def test_a_true_screen_of_a_row_that_is_not_constant_leaves_the_walk_to_decide(self):
         # 2 C(i, 43) - 27 C(i, 42), i < 70: with 30 witnesses n = 41, and the

@@ -797,10 +797,10 @@ class TestLongInputs:
         tests = 0
         real = difftable._deepest_row_may_be_constant
 
-        def counted(*args):
+        def counted(*args, **kwargs):
             nonlocal tests
             tests += 1
-            return real(*args)
+            return real(*args, **kwargs)
 
         monkeypatch.setattr(difftable, "_deepest_row_may_be_constant", counted)
         values = [Fraction(i**10 - 3 * i) for i in range(4000)]
