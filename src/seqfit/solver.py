@@ -13,7 +13,9 @@ indexes with g(x) = (x - x0)/h, solving in the g basis, and composing back.
 from __future__ import annotations
 
 from collections import namedtuple
+from itertools import islice
 from math import factorial, gcd
+from operator import mul
 
 from .difftable import _degree_candidates, _newton_values
 from .errors import DomainError, InconsistentSequenceError
@@ -82,14 +84,15 @@ def _grid(start: Rational, step: Rational) -> tuple[int, int, int]:
 def _back_substitute(den: int, diagonal: list[int], s: int) -> tuple[int, list[int]]:
     """Solve diagonal[j]/j! = sum_{m=j}^{d} c_m * S(m+s, j+s), d = len(diagonal) - 1,
     for a diagonal of integers N_j over den, in integers: the solution is
-    (den*d!, C) with C_m = den*d!*c_m, and C_j = (d!/j!)*N_j - sum_{m>j} C_m * S(m+s, j+s)."""
+    (den*d!, C) with C_m = den*d!*c_m, and C_j = (d!/j!)*N_j - sum_{m>j} C_m * S(m+s, j+s),
+    the sum taken down column j+s of the Stirling table, columns[k][i] = S(k+i, k)."""
     d = len(diagonal) - 1
-    rows = stirling_table(d + s)[s:]  # rows[m] = S(m+s, .)
+    columns = stirling_table(d + s)
     scaled = [0] * (d + 1)
     weight = 1  # d!/j!
     for j in range(d, -1, -1):
         scaled[j] = weight * diagonal[j] - sum(
-            scaled[m] * rows[m][j + s] for m in range(j + 1, d + 1))
+            map(mul, scaled[j + 1:], islice(columns[j + s], 1, None)))
         weight *= j
     return den * factorial(d), scaled
 
@@ -159,6 +162,40 @@ def _first_miss(poly: tuple[int, list[int]], samples: tuple[int, list[int]],
     return len(ints)
 
 
+def _first_miss_by_division(poly: tuple[int, list[int]], differences: tuple[int, list[int]],
+                            grid: tuple[int, int, int]) -> int:
+    """Index of the first of the samples 0..k-1 that poly misses on grid,
+    given only their k differences at sample 0; k when it misses none.
+
+    Exact, in integers: with poly = (D, X) of n+1 coefficients, differences
+    (L, diagonal), diagonal[j] the j-th difference of the samples' N over L,
+    and grid (a, b, q), poly(x_i) * D * q^n = P(t_i) for
+    P(T) = sum_j X_j * q^(n-j) * T^j and the nodes t_i = a + i*b.  Dividing P
+    by T - t_0, the quotient by T - t_1, and so on, leaves as remainders P's
+    Newton coefficients A_j on the nodes (A_j = 0 past n), and the j-th
+    difference of P(t_0), P(t_1), ... is j! * b^j * A_j.  Samples 0..j-1 are
+    matched exactly when differences 0..j-1 are, so the first miss is the
+    first j with A_j * j! * b^j * L != D * q^n * diagonal[j].  The divisions
+    take about n^2/2 multiply-adds by the small t_i.
+    """
+    pden, coeffs = poly
+    den, diagonal = differences
+    a, b, q = grid
+    n = len(coeffs) - 1
+    quotient = [c * q**j for j, c in enumerate(reversed(coeffs))]  # P's, leading first
+    scale = pden * q**n
+    weight = den  # j! * b^j * L
+    for j, delta in enumerate(diagonal):
+        t, acc = a + j * b, 0
+        for i, c in enumerate(quotient):
+            acc = quotient[i] = acc * t + c
+        del quotient[-1:]  # acc, the remainder, is A_j: 0 once the quotient is empty
+        if acc * weight != delta * scale:
+            return j
+        weight *= (j + 1) * b
+    return len(diagonal)
+
+
 def fit(values, map: AffineMap, convention: str = "start_zero",
         min_witnesses: int = 2) -> FitResult:
     """End-to-end fit: difference rows, degree, solve, recompose, verify.
@@ -179,7 +216,13 @@ def fit(values, map: AffineMap, convention: str = "start_zero",
     Only a poly_in_g that matches every sample is composed, and poly_in_x,
     of at most d+1 coefficients, is then checked at the first d+1 samples
     only: matching there makes it poly_in_g composed with g, which matches
-    every sample.  A failure reports the first sample poly_in_g misses, or
+    every sample.  It is checked there through their differences, by
+    _first_miss_by_division against `diagonal`, not against the samples.
+    That assumes _back_substitute is exact: poly_in_g was solved from
+    `diagonal` and matches the first d+1 samples, so an exact solve makes
+    `diagonal` their true differences.  Past m = 2(d+1) the running sums
+    also compare `diagonal` with the samples; up to it, nothing else does.
+    A failure reports the first sample poly_in_g misses, or
     else the first poly_in_x misses, which only a wrong _compose makes.
     On the convention's own grid, where g(x) = x, the two are one
     polynomial at the same points: it is neither composed nor checked a
@@ -219,7 +262,7 @@ def fit(values, map: AffineMap, convention: str = "start_zero",
                 j for j, (v, u) in enumerate(zip(sums, ints)) if v != u)
         if i == m and not own_grid:
             poly_in_x = _lowest_terms(_compose(poly_in_g, (a - shift * b, b, q)))
-            j = _first_miss(poly_in_x, (den, ints[:d + 1]), grid)
+            j = _first_miss_by_division(poly_in_x, (den, diagonal), grid)
             if j <= d:
                 i = j
         if i == m:

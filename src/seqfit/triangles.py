@@ -63,41 +63,49 @@ def stirling_rows(max_n: int) -> Iterator[tuple[int, ...]]:
         yield row
 
 
-# Rows S(n, 0..n) for n < STIRLING_CACHE_ROWS are kept once built: a fit of
-# degree d reads rows 0..d+s on every call, and they depend on nothing else.
-# 128 rows hold about 0.5 MiB of ints.  The cache only grows, under the lock,
-# and each growth rebuilds the rows and rebinds a new tuple, so a reader
-# without the lock sees either the old table or the grown one, never a
-# half-built one.
+def _stirling_columns(max_n: int) -> tuple[tuple[int, ...], ...]:
+    """The rows of stirling_rows read down each column:
+    (S(k, k), S(k+1, k), ..., S(max_n, k)) for k = 0..max_n."""
+    rows = tuple(stirling_rows(max_n))
+    return tuple(tuple(row[k] for row in rows[k:]) for k in range(max_n + 1))
+
+
+# Columns down to a row n < STIRLING_CACHE_ROWS are kept once built: a fit of
+# degree d reads columns 0..d+s down to row d+s on every call, and they depend
+# on nothing else.  The cache holds the deepest row asked for so far, no more;
+# 128 columns hold about 0.5 MiB of ints.  It only grows, under the lock, and
+# each growth rebuilds the columns and rebinds a new tuple, so a reader without
+# the lock sees either the old table or the grown one, never a half-built one.
 STIRLING_CACHE_ROWS = 128
 _stirling_cache: tuple[tuple[int, ...], ...] = ()
 _stirling_cache_lock = Lock()
 
 
 def stirling_table(max_n: int) -> tuple[tuple[int, ...], ...]:
-    """The rows S(n, 0..n) for n = 0..max_n, as tuples: from the shared cache
-    below STIRLING_CACHE_ROWS, built fresh by stirling_rows above it."""
+    """S(n, k) for n <= N, by columns: table[k] = (S(k, k), S(k+1, k), ..., S(N, k))
+    for k = 0..N, N >= max_n.  Below STIRLING_CACHE_ROWS it is the shared cache,
+    whose N is the deepest row asked for so far; above it, built fresh to N = max_n."""
     global _stirling_cache
     table = _stirling_cache
     if max_n < len(table):
-        return table[:max_n + 1]
+        return table
     if max_n >= STIRLING_CACHE_ROWS:
-        return tuple(stirling_rows(max_n))
+        return _stirling_columns(max_n)
     with _stirling_cache_lock:
         if max_n >= len(_stirling_cache):
-            _stirling_cache = tuple(stirling_rows(max_n))
-        return _stirling_cache[:max_n + 1]
+            _stirling_cache = _stirling_columns(max_n)
+        return _stirling_cache
 
 
 def stirling2(n: int, k: int) -> int:
-    """S(n, k): from the recurrence's rows in the shared cache of stirling_table
-    for n < STIRLING_CACHE_ROWS, else computed alone as AWNT(n, k) / k!."""
+    """S(n, k): from the shared cache of stirling_table for n < STIRLING_CACHE_ROWS,
+    else computed alone as AWNT(n, k) / k!."""
     if n < 0 or k < 0:
         raise DomainError("stirling2 requires nonnegative arguments")
     if k > n:
         return 0
     if n < STIRLING_CACHE_ROWS:
-        return stirling_table(n)[n][k]
+        return stirling_table(n)[k][n - k]
     return awnt(n, k) // factorial(k) if k else 0
 
 

@@ -250,6 +250,65 @@ class TestFirstMismatch:
                 assert first_miss(poly_, common_denominator(values), x0, h) == expected
 
 
+def forward_differences(ints):
+    """The main diagonal of the full difference table of ints: its j-th
+    differences at index 0, j = 0..len(ints) - 1."""
+    diagonal = []
+    while ints:
+        diagonal.append(ints[0])
+        ints = [v - u for u, v in zip(ints, ints[1:])]
+    return diagonal
+
+
+class TestFirstMissByDivision:
+    """solver._first_miss_by_division, fit()'s check of poly_in_x through the
+    first samples' differences, names the sample that _first_miss names among
+    those samples: for true samples, samples moved by 1/q, another
+    polynomial's values, and polynomials shorter than the diagonal."""
+
+    @staticmethod
+    def assert_agrees(p, values, start, step, k):
+        """Both checks of p at the first k of values, on the grid start + i*step."""
+        den, ints = common_denominator(values)
+        expected = first_miss(p, (den, ints[:k]), start, step)
+        got = solver._first_miss_by_division(common_denominator(p.coefficients),
+                                             (den, forward_differences(ints[:k])),
+                                             solver._grid(start, step))
+        assert got == expected, (p, values, start, step, k)
+        return got
+
+    def test_agrees_with_first_miss_on_true_and_moved_samples(self):
+        rng = random.Random(3030)
+        for _ in range(200):
+            p, x0, h, samples = TestFirstMismatch.random_case(rng)
+            k = rng.choice((p.degree + 1, p.degree + 2))  # poly_in_x may be the shorter
+            assert self.assert_agrees(p, samples, x0, h, k) == k
+            q = x0.denominator * h.denominator
+            for i in (0, k // 2, k - 1):
+                moved = list(samples)
+                moved[i] += Fraction(rng.choice((1, -1)), q)
+                assert self.assert_agrees(p, moved, x0, h, k) == i
+
+    def test_agrees_with_first_miss_on_other_values(self):
+        rng = random.Random(3031)
+        for _ in range(200):
+            p, x0, h, samples = TestFirstMismatch.random_case(rng)
+            values = [v if rng.random() < 0.8 else random_rational(rng) for v in samples]
+            other = TestFirstMismatch.random_case(rng)[0]  # may be longer than the diagonal
+            for poly_ in (p, other):
+                self.assert_agrees(poly_, values, x0, h, p.degree + 1)
+
+    @pytest.mark.parametrize("k", [1, 2, 5, 41])
+    def test_a_polynomial_shorter_than_the_diagonal(self, k):
+        x0, h = Fraction(33, 10), Fraction(1, 10)
+        zeros = [Fraction(0)] * k
+        assert self.assert_agrees(poly(0), zeros, x0, h, k) == k
+        assert self.assert_agrees(poly(Fraction(1, 7)), zeros, x0, h, k) == 0
+        line = [3 - 2 * (x0 + i * h) for i in range(k)]
+        assert self.assert_agrees(poly(3, -2), line, x0, h, k) == k
+        assert self.assert_agrees(poly(3, -2), line, x0, -h, k) == 1
+
+
 def vanishing(roots, scale):
     """Coefficients of scale * prod_r (t - r): zero at every root, degree len(roots)."""
     coeffs = [Fraction(scale)]
@@ -391,6 +450,58 @@ class TestVerificationPastThePrefix(TestVerification):
     M = 80
 
 
+def off_by_one_at(index):
+    """A _compose mutant: coefficient `index` of X, in (D*b^d, X), off by 1."""
+    def compose(real, poly_in_g, grid):
+        den, coeffs = real(poly_in_g, grid)
+        return den, [c + (j == index % len(coeffs)) for j, c in enumerate(coeffs)]
+    return compose
+
+
+class TestABrokenComposeIsRejected:
+    """fit() checks poly_in_x itself: a _compose mutant that returns a wrong
+    poly_in_x raises InconsistentSequenceError, at the first sample that
+    poly_in_x misses, with the text and sample_index that checking it by
+    rational evaluation gives."""
+
+    MUTANTS = {
+        "shift sign flipped": lambda real, poly_in_g, grid: real(poly_in_g, (-grid[0], *grid[1:])),
+        "q^k dropped": lambda real, poly_in_g, grid: real(poly_in_g, (*grid[:2], 1)),
+        "X_0 off by 1": off_by_one_at(0),
+        "X_d off by 1": off_by_one_at(-1),
+    }
+    # a != 0 and q != 1 in every index grid, so that each mutant changes poly_in_x
+    GRIDS = [(Fraction(33, 10), Fraction(1, 10)), (Fraction(33, 10), Fraction(-1, 10)),
+             (Fraction(-5, 3), Fraction(2, 7))]
+    HIGH = tuple(Fraction(random.Random(40).randint(-9, 9), j + 1) for j in range(40)) + (1,)
+
+    @pytest.mark.parametrize("mutant", MUTANTS)
+    @pytest.mark.parametrize("grid", GRIDS, ids=["3.3/0.1", "3.3/-0.1", "-5/3,2/7"])
+    @pytest.mark.parametrize("convention", ["start_zero", "start_one"])
+    @pytest.mark.parametrize("true_x", [TestVerification.TRUE_X, HIGH], ids=["d=4", "d=40"])
+    def test_each_mutant_is_rejected_where_its_poly_in_x_misses(
+            self, monkeypatch, mutant, grid, convention, true_x):
+        x0, h = grid
+        xs = [x0 + i * h for i in range(len(true_x) + 2)]
+        values = [Polynomial(coefficients=tuple(true_x))(x) for x in xs]
+        real, composed = solver._compose, []
+
+        def compose(poly_in_g, index_grid):
+            composed.append(self.MUTANTS[mutant](real, poly_in_g, index_grid))
+            return composed[-1]
+
+        monkeypatch.setattr(solver, "_compose", compose)
+        with pytest.raises(InconsistentSequenceError) as raised:
+            fit(values, AffineMap(x0, h), convention)
+        den, coeffs = composed[-1]
+        broken = Polynomial(coefficients=tuple(Fraction(c, den) for c in coeffs))
+        expected = next(i for i, (x, v) in enumerate(zip(xs, values)) if broken(x) != v)
+        assert expected < len(true_x)  # among the first d+1 samples
+        assert str(raised.value) == \
+            f"fitted polynomial does not reproduce sample {expected} (x={xs[expected]})"
+        assert raised.value.sample_index == expected
+
+
 class TestVerificationDoesNotTrustTheScan:
     """fit() rejects a degree or a diagonal that the scan got wrong, at the
     first sample the polynomial solved from it misses, whether the check past
@@ -452,8 +563,9 @@ class TestVerificationDoesNotTrustTheScan:
 class TestChecksInTheIndexBasis:
     """fit() decides each candidate with poly_in_g at g = s, s+1, ...; it
     composes only a poly_in_g that matches every sample, checks poly_in_x,
-    the composition, at no more than the first d+1 samples, and on the
-    convention's own grid neither composes nor checks a second polynomial."""
+    the composition, at no more than the first d+1 samples (through their
+    d+1 differences), and on the convention's own grid neither composes nor
+    checks a second polynomial."""
 
     TRUE_X = TestVerification.TRUE_X  # degree 4
     D = len(TRUE_X) - 1
@@ -463,10 +575,11 @@ class TestChecksInTheIndexBasis:
         """fit() over m samples of TRUE_X on grid, the last one moved by 1
         when moved; the scan, which would reject moved samples as not
         polynomial, is handed the true samples, so that the check must
-        reject them.  Returns fit()'s result or error, its _first_miss calls
-        in order, each as (basis, coefficients, samples checked) with basis
-        "g" for the integer points s, s+1, ... and "x" for the grid, and the
-        numbers of solves and composes."""
+        reject them.  Returns fit()'s result or error, its checks in order,
+        each as (basis, coefficients, samples checked): basis "g" for a
+        _first_miss call at the integer points s, s+1, ..., and "x" for a
+        _first_miss_by_division call on the grid, which checks as many samples
+        as it is given differences; and the numbers of solves and composes."""
         x0, h = self.GRIDS[grid]
         shift = {"start_zero": 0, "start_one": 1}[convention]
         values = [Polynomial(coefficients=self.TRUE_X)(x0 + i * h) for i in range(m)]
@@ -475,12 +588,18 @@ class TestChecksInTheIndexBasis:
             values[-1] += 1
             assert common_denominator(values)[0] == den
         calls, used = [], {"solves": 0, "composes": 0}
-        real_first_miss, real_solve, real_compose, real_scan = \
-            solver._first_miss, solver._back_substitute, solver._compose, difftable.scan_degree_scaled
+        real_first_miss, real_by_division, real_solve, real_compose, real_scan = \
+            solver._first_miss, solver._first_miss_by_division, solver._back_substitute, \
+            solver._compose, difftable.scan_degree_scaled
 
         def first_miss(poly, samples, index_grid):
             calls.append(("g" if index_grid == (shift, 1, 1) else "x", len(poly[1]), len(samples[1])))
             return real_first_miss(poly, samples, index_grid)
+
+        def first_miss_by_division(poly, differences, grid_):
+            calls.append(("x" if grid_ == solver._grid(x0, h) else "g", len(poly[1]),
+                          len(differences[1])))
+            return real_by_division(poly, differences, grid_)
 
         def solve(*args):
             used["solves"] += 1
@@ -491,6 +610,7 @@ class TestChecksInTheIndexBasis:
             return real_compose(*args)
 
         monkeypatch.setattr(solver, "_first_miss", first_miss)
+        monkeypatch.setattr(solver, "_first_miss_by_division", first_miss_by_division)
         monkeypatch.setattr(solver, "_back_substitute", solve)
         monkeypatch.setattr(solver, "_compose", compose)
         monkeypatch.setattr(difftable, "scan_degree_scaled",

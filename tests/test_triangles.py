@@ -77,42 +77,62 @@ class TestStirling2:
         sizes = (128, 129, 200, 300)
         rows = {n: next(islice(triangles.stirling_rows(n), n, None)) for n in sizes}
 
-        def stirling_rows(max_n):
-            raise AssertionError(f"stirling_rows({max_n}) built for one cell")
+        def built(max_n):
+            raise AssertionError(f"a Stirling table to row {max_n} built for one cell")
 
-        monkeypatch.setattr(triangles, "stirling_rows", stirling_rows)
+        monkeypatch.setattr(triangles, "stirling_rows", built)
+        monkeypatch.setattr(triangles, "_stirling_columns", built)
         for n in sizes:
             for k in (0, 1, 2, 3, n // 6, n // 2, n - 1, n):
                 assert stirling2(n, k) == rows[n][k], (n, k)
 
 
 
+def fresh_columns(n):
+    """The columns (S(k, k), ..., S(n, k)), k = 0..n, of the rows stirling_rows builds."""
+    rows = tuple(triangles.stirling_rows(n))
+    return tuple(tuple(row[k] for row in rows[k:]) for k in range(n + 1))
+
+
+def down_to(table, n):
+    """The columns of a Stirling table by columns, cut at row n."""
+    assert len(table) > n and all(len(column) == len(table) - k for k, column in enumerate(table))
+    return tuple(column[:n + 1 - k] for k, column in enumerate(table[:n + 1]))
+
+
 class TestStirlingCache:
-    ORDER = (5, 90, 3, 130, 60, 127, 0, 128, 11)  # shuffled, across the cap of 128 rows
+    ORDER = (5, 90, 3, 130, 60, 127, 0, 128, 11, 250)  # shuffled, across the cap of 128 rows
 
     @pytest.fixture(autouse=True)
     def empty_cache(self, monkeypatch):
         monkeypatch.setattr(triangles, "_stirling_cache", ())
 
-    def test_rows_match_fresh_rows_in_any_order_across_the_cap(self):
+    def test_columns_match_fresh_columns_in_any_order_across_the_cap(self):
+        deepest = -1
         for n in self.ORDER:
-            assert triangles.stirling_table(n) == tuple(triangles.stirling_rows(n)), n
+            table = triangles.stirling_table(n)
+            assert down_to(table, n) == fresh_columns(n), n
             assert stirling2(n, n // 3) == next(islice(triangles.stirling_rows(n), n, None))[n // 3]
-            assert len(triangles._stirling_cache) <= triangles.STIRLING_CACHE_ROWS
+            if n < triangles.STIRLING_CACHE_ROWS:
+                deepest = max(deepest, n)
+            else:
+                assert len(table) == n + 1  # built fresh, down to row n only
+            # the cache holds the rows asked for below the cap, no more
+            assert len(triangles._stirling_cache) == deepest + 1 <= triangles.STIRLING_CACHE_ROWS
         assert len(triangles._stirling_cache) == triangles.STIRLING_CACHE_ROWS
 
-    def test_rows_are_tuples(self):
+    def test_columns_are_tuples(self):
         for n in (7, 130):
             table = triangles.stirling_table(n)
-            assert type(table) is tuple and all(type(row) is tuple for row in table)
+            assert type(table) is tuple and all(type(column) is tuple for column in table)
 
-    def test_threads_growing_it_at_once_read_whole_rows(self):
-        fresh = tuple(triangles.stirling_rows(127))
+    def test_threads_growing_it_at_once_read_whole_tables(self):
+        fresh = fresh_columns(127)
         errors = []
 
         def reader(seed):
             for n in random.Random(seed).sample(range(128), 40):
-                if triangles.stirling_table(n) != fresh[:n + 1]:
+                if down_to(triangles.stirling_table(n), n) != down_to(fresh, n):
                     errors.append(n)
 
         interval = sys.getswitchinterval()
