@@ -136,36 +136,12 @@ def _compose(poly: tuple[int, list[int]], grid: tuple[int, int, int]) -> tuple[i
     return den * b ** d, result
 
 
-def _first_miss(poly: tuple[int, list[int]], samples: tuple[int, list[int]],
-                grid: tuple[int, int, int]) -> int:
-    """Index of the first sample that poly misses on grid; len(samples[1]) when
-    it reproduces them all.
-
-    Exact, in integers: with poly = (D, C) of n+1 coefficients, samples
-    (L, N) and grid (a, b, q), Horner's rule on the homogeneous form
-    sum_j C_j * q^(n-j) * (a + i*b)^j gives acc_i = poly(x_i) * D * q^n, so
-    poly(x_i) = N[i]/L exactly when acc_i * L = N[i] * D * q^n.
-    """
-    pden, coeffs = poly
-    den, ints = samples
-    a, b, q = grid
-    n = len(coeffs) - 1
-    leading, *rest = [c * q**j for j, c in enumerate(reversed(coeffs))]  # C_(n-j) * q^j
-    scale = pden * q**n
-    for i, v in enumerate(ints):
-        t = a + i * b
-        acc = leading
-        for w in rest:
-            acc = acc * t + w
-        if acc * den != v * scale:
-            return i
-    return len(ints)
-
-
 def _first_miss_by_division(poly: tuple[int, list[int]], differences: tuple[int, list[int]],
                             grid: tuple[int, int, int]) -> int:
     """Index of the first of the samples 0..k-1 that poly misses on grid,
-    given only their k differences at sample 0; k when it misses none.
+    given only their k differences at sample 0; k when it misses none.  fit
+    checks poly_in_g with it on the index grid (s, 1, 1) and poly_in_x on
+    the input grid.
 
     Exact, in integers: with poly = (D, X) of n+1 coefficients, differences
     (L, diagonal), diagonal[j] the j-th difference of the samples' N over L,
@@ -202,28 +178,22 @@ def fit(values, map: AffineMap, convention: str = "start_zero",
 
     The samples are scaled to integers once, by common_denominator, and
     everything up to the FitResult runs on integers over that denominator.
-    Each candidate is decided in the index basis, where it is solved:
-    poly_in_g is checked at g = s, s+1, ... by Horner's rule at the first
-    d+1 samples, or at all m when m <= 2(d+1), and past them by Newton's
-    running sums of the diagonal.  That is exact, and as strong as checking
-    it by Horner at every sample:
-    - poly_in_g has d+1 coefficients, so matching the first d+1 samples
-      makes it the polynomial through them;
-    - that polynomial's values are the running sums of its difference
-      diagonal (Newton's forward formula);
-    - if `diagonal` were wrong, the sums would miss a sample among the
-      first d+1, so an accepted fit never rests on the scan alone.
-    Only a poly_in_g that matches every sample is composed, and poly_in_x,
-    of at most d+1 coefficients, is then checked at the first d+1 samples
-    only: matching there makes it poly_in_g composed with g, which matches
-    every sample.  It is checked there through their differences, by
-    _first_miss_by_division against `diagonal`, not against the samples.
-    That assumes _back_substitute is exact: poly_in_g was solved from
-    `diagonal` and matches the first d+1 samples, so an exact solve makes
-    `diagonal` their true differences.  Past m = 2(d+1) the running sums
-    also compare `diagonal` with the samples; up to it, nothing else does.
-    A failure reports the first sample poly_in_g misses, or
-    else the first poly_in_x misses, which only a wrong _compose makes.
+    Each candidate `diagonal`, of degree d, is checked by three exact links,
+    each resting only on the one before it:
+    - its running sums, _newton_values (Newton's forward formula, the
+      inverse of differencing), equal every sample: the samples lie on the
+      one polynomial of degree <= d whose differences at sample 0 are
+      `diagonal`, so an accepted fit never rests on the scan;
+    - poly_in_g, solved from `diagonal`, has those differences at
+      g = s, s+1, ..., s+d, by _first_miss_by_division: having d+1
+      coefficients, it is then that polynomial in g;
+    - poly_in_x, composed from poly_in_g, has them on the input grid, by
+      the same kernel: having at most d+1 coefficients, it is then that
+      polynomial in x.
+    A candidate whose sums miss is neither solved nor composed.  A failure
+    reports the first sample the sums miss, or else the first poly_in_g
+    misses, which only a wrong _back_substitute makes, or else the first
+    poly_in_x misses, which only a wrong _compose makes.
     On the convention's own grid, where g(x) = x, the two are one
     polynomial at the same points: it is neither composed nor checked a
     second time, and is both fields of the FitResult.
@@ -249,23 +219,18 @@ def fit(values, map: AffineMap, convention: str = "start_zero",
 
     for report, diagonal in _degree_candidates(den, ints, min_witnesses):
         d = len(diagonal) - 1
+        sums = _newton_values(diagonal, m)
+        if sums != ints:
+            i = next(j for j, (v, u) in enumerate(zip(sums, ints)) if v != u)
+            continue
         # in lowest terms, as Fractions would be, so that no step after carries
         # the factor d! and powers of b for nothing
         poly_in_g = _lowest_terms(_back_substitute(den, diagonal, shift))
-        # the sums add d times over all m samples, so they pay only when most
-        # samples lie past the first d+1
-        head = m if m <= 2 * (d + 1) else d + 1
-        i = _first_miss(poly_in_g, (den, ints[:head]), (shift, 1, 1))
-        if i == head < m:
-            sums = _newton_values(diagonal, m)
-            i = m if sums == ints else next(
-                j for j, (v, u) in enumerate(zip(sums, ints)) if v != u)
-        if i == m and not own_grid:
+        i = _first_miss_by_division(poly_in_g, (den, diagonal), (shift, 1, 1))
+        if i > d and not own_grid:
             poly_in_x = _lowest_terms(_compose(poly_in_g, (a - shift * b, b, q)))
-            j = _first_miss_by_division(poly_in_x, (den, diagonal), grid)
-            if j <= d:
-                i = j
-        if i == m:
+            i = _first_miss_by_division(poly_in_x, (den, diagonal), grid)
+        if i > d:
             in_g = _polynomial(*poly_in_g)
             in_x = in_g if own_grid else _polynomial(*poly_in_x)
             return FitResult(in_g, in_x, index_map, report)

@@ -195,61 +195,6 @@ def test_round_trip_on_random_affine_grids():
         assert result.poly_in_x.coefficients == p.coefficients, (coeffs, x0, h)
 
 
-def first_miss(p, samples, start, step):
-    """solver._first_miss of p on the grid start + i*step, samples as
-    common_denominator returns them."""
-    return solver._first_miss(common_denominator(p.coefficients), samples,
-                              solver._grid(start, step))
-
-
-class TestFirstMismatch:
-    """solver._first_miss, the integer reproduction check that fit() runs on
-    both bases, called on polynomials and grids in the form fit() passes."""
-
-    @staticmethod
-    def random_case(rng):
-        d = rng.randint(0, 6)
-        p = Polynomial(coefficients=tuple(random_rational(rng) for _ in range(d + 1)))
-        x0 = random_rational(rng)
-        h = -Fraction(rng.randint(1, 9), rng.randint(1, 10))  # negative steps
-        samples = [p(x0 + i * h) for i in range(rng.randint(d + 2, 3 * (d + 1) + 5))]
-        return p, x0, h, samples
-
-    def test_accepts_true_samples_in_both_bases_and_conventions(self):
-        rng = random.Random(1806)
-        for _ in range(200):
-            p, x0, h, samples = self.random_case(rng)
-            scaled = common_denominator(samples)
-            assert first_miss(p, scaled, x0, h) == len(samples)
-            for convention, first_index in (("start_zero", 0), ("start_one", 1)):
-                result = fit(samples, AffineMap(x0, h), convention)
-                assert first_miss(result.poly_in_x, scaled, x0, h) == len(samples)
-                assert first_miss(result.poly_in_g, scaled, Fraction(first_index),
-                                  Fraction(1)) == len(samples)
-
-    def test_rejects_a_sample_off_by_one_over_q(self):
-        rng = random.Random(2018)
-        for _ in range(200):
-            p, x0, h, samples = self.random_case(rng)
-            q = x0.denominator * h.denominator
-            for i in (0, len(samples) // 2, len(samples) - 1):
-                perturbed = list(samples)
-                perturbed[i] += Fraction(rng.choice((1, -1)), q)
-                assert first_miss(p, common_denominator(perturbed), x0, h) == i
-
-    def test_agrees_with_rational_evaluation(self):
-        rng = random.Random(4300)
-        for _ in range(200):
-            p, x0, h, samples = self.random_case(rng)
-            values = [v if rng.random() < 0.8 else random_rational(rng) for v in samples]
-            # another polynomial's values often have denominators the samples' lack
-            other = self.random_case(rng)[0]
-            for poly_ in (p, other):
-                expected = next((i for i, v in enumerate(values) if poly_(x0 + i * h) != v),
-                                len(values))
-                assert first_miss(poly_, common_denominator(values), x0, h) == expected
-
-
 def forward_differences(ints):
     """The main diagonal of the full difference table of ints: its j-th
     differences at index 0, j = 0..len(ints) - 1."""
@@ -261,52 +206,91 @@ def forward_differences(ints):
 
 
 class TestFirstMissByDivision:
-    """solver._first_miss_by_division, fit()'s check of poly_in_x through the
-    first samples' differences, names the sample that _first_miss names among
-    those samples: for true samples, samples moved by 1/q, another
-    polynomial's values, and polynomials shorter than the diagonal."""
+    """solver._first_miss_by_division, fit()'s check of poly_in_g on the
+    index grid and of poly_in_x on the input grid through the first k
+    samples' differences, names the first of those samples that p misses by
+    rational evaluation (Polynomial.__call__ over Fractions): for fit()'s
+    results in both bases and conventions, samples moved by 1/q, another
+    polynomial's values, and polynomials shorter or longer than the
+    diagonal."""
 
     @staticmethod
-    def assert_agrees(p, values, start, step, k):
-        """Both checks of p at the first k of values, on the grid start + i*step."""
+    def random_case(rng):
+        d = rng.randint(0, 6)
+        p = Polynomial(coefficients=tuple(random_rational(rng) for _ in range(d + 1)))
+        x0 = random_rational(rng)
+        h = -Fraction(rng.randint(1, 9), rng.randint(1, 10))  # negative steps
+        samples = [p(x0 + i * h) for i in range(rng.randint(d + 2, 3 * (d + 1) + 5))]
+        return p, x0, h, samples
+
+    @staticmethod
+    def first_miss(p, values, start, step, k):
+        """The kernel's answer for p at the first k of values, on the grid
+        start + i*step, asserted equal to rational evaluation's."""
         den, ints = common_denominator(values)
-        expected = first_miss(p, (den, ints[:k]), start, step)
         got = solver._first_miss_by_division(common_denominator(p.coefficients),
                                              (den, forward_differences(ints[:k])),
                                              solver._grid(start, step))
+        expected = next((i for i in range(k) if p(start + i * step) != values[i]), k)
         assert got == expected, (p, values, start, step, k)
         return got
 
-    def test_agrees_with_first_miss_on_true_and_moved_samples(self):
+    def test_accepts_fit_results_in_both_bases_and_conventions(self):
+        rng = random.Random(1806)
+        for _ in range(200):
+            p, x0, h, samples = self.random_case(rng)
+            k = len(samples)
+            assert self.first_miss(p, samples, x0, h, k) == k
+            for convention, first_index in (("start_zero", 0), ("start_one", 1)):
+                result = fit(samples, AffineMap(x0, h), convention)
+                assert self.first_miss(result.poly_in_x, samples, x0, h, k) == k
+                assert self.first_miss(result.poly_in_g, samples, Fraction(first_index),
+                                       Fraction(1), k) == k
+
+    def test_rejects_a_sample_moved_by_one_over_q(self):
         rng = random.Random(3030)
         for _ in range(200):
-            p, x0, h, samples = TestFirstMismatch.random_case(rng)
-            k = rng.choice((p.degree + 1, p.degree + 2))  # poly_in_x may be the shorter
-            assert self.assert_agrees(p, samples, x0, h, k) == k
+            p, x0, h, samples = self.random_case(rng)
+            # poly_in_x may be the shorter; all the samples, as fit()'s sums see them
+            k = rng.choice((p.degree + 1, p.degree + 2, len(samples)))
             q = x0.denominator * h.denominator
             for i in (0, k // 2, k - 1):
                 moved = list(samples)
                 moved[i] += Fraction(rng.choice((1, -1)), q)
-                assert self.assert_agrees(p, moved, x0, h, k) == i
+                assert self.first_miss(p, moved, x0, h, k) == i
 
-    def test_agrees_with_first_miss_on_other_values(self):
-        rng = random.Random(3031)
+    def test_agrees_with_rational_evaluation_on_other_values(self):
+        rng = random.Random(4300)
+        longer = 0
         for _ in range(200):
-            p, x0, h, samples = TestFirstMismatch.random_case(rng)
+            p, x0, h, samples = self.random_case(rng)
             values = [v if rng.random() < 0.8 else random_rational(rng) for v in samples]
-            other = TestFirstMismatch.random_case(rng)[0]  # may be longer than the diagonal
-            for poly_ in (p, other):
-                self.assert_agrees(poly_, values, x0, h, p.degree + 1)
+            # another polynomial's values often have denominators the samples' lack
+            other = self.random_case(rng)[0]
+            for k in (p.degree + 1, len(values)):
+                longer += other.degree >= k
+                for poly_ in (p, other):
+                    self.first_miss(poly_, values, x0, h, k)
+        assert longer >= 50
 
     @pytest.mark.parametrize("k", [1, 2, 5, 41])
     def test_a_polynomial_shorter_than_the_diagonal(self, k):
         x0, h = Fraction(33, 10), Fraction(1, 10)
         zeros = [Fraction(0)] * k
-        assert self.assert_agrees(poly(0), zeros, x0, h, k) == k
-        assert self.assert_agrees(poly(Fraction(1, 7)), zeros, x0, h, k) == 0
+        assert self.first_miss(poly(0), zeros, x0, h, k) == k
+        assert self.first_miss(poly(Fraction(1, 7)), zeros, x0, h, k) == 0
         line = [3 - 2 * (x0 + i * h) for i in range(k)]
-        assert self.assert_agrees(poly(3, -2), line, x0, h, k) == k
-        assert self.assert_agrees(poly(3, -2), line, x0, -h, k) == 1
+        assert self.first_miss(poly(3, -2), line, x0, h, k) == k
+        assert self.first_miss(poly(3, -2), line, x0, -h, k) == 1
+
+    @pytest.mark.parametrize("k", [1, 2, 5, 41])
+    def test_a_polynomial_longer_than_the_diagonal(self, k):
+        x0, h = Fraction(33, 10), Fraction(1, 10)
+        zeros = [Fraction(0)] * (k + 1)
+        # of degree k, zero at the first k points only: k differences see no miss
+        p = Polynomial(coefficients=tuple(vanishing([x0 + i * h for i in range(k)], Fraction(1, 7))))
+        assert self.first_miss(p, zeros, x0, h, k) == k
+        assert self.first_miss(p, zeros, x0, h, k + 1) == k
 
 
 def vanishing(roots, scale):
@@ -504,9 +488,8 @@ class TestABrokenComposeIsRejected:
 
 class TestVerificationDoesNotTrustTheScan:
     """fit() rejects a degree or a diagonal that the scan got wrong, at the
-    first sample the polynomial solved from it misses, whether the check past
-    the first d+1 samples is Horner's rule or the diagonal's running sums, and
-    whether or not g(x) = x."""
+    first sample the polynomial solved from it misses, which the diagonal's
+    running sums find, whether or not g(x) = x."""
 
     TRUE_X = TestVerification.TRUE_X  # degree 4
     GRIDS = TestVerification.GRIDS
@@ -525,8 +508,7 @@ class TestVerificationDoesNotTrustTheScan:
             fit(values, AffineMap(x0, h), convention)
         return values, raised.value
 
-    # m = 6 and 9 are at most 2(d+1) = 10 samples, 9 and 40 more than
-    # 2(d'+1) = 8 for the claimed degree d' = 3; all are at most 2 * _PREFIX
+    # all at most 2 * _PREFIX, so that the scan's is the only candidate
     @pytest.mark.parametrize("m", [6, 9, 40])
     @pytest.mark.parametrize("grid", SCAN_GRIDS)
     @pytest.mark.parametrize("convention", ["start_zero", "start_one"])
@@ -561,10 +543,10 @@ class TestVerificationDoesNotTrustTheScan:
 
 
 class TestChecksInTheIndexBasis:
-    """fit() decides each candidate with poly_in_g at g = s, s+1, ...; it
-    composes only a poly_in_g that matches every sample, checks poly_in_x,
-    the composition, at no more than the first d+1 samples (through their
-    d+1 differences), and on the convention's own grid neither composes nor
+    """fit() checks each candidate's diagonal against every sample by its
+    running sums and solves only a diagonal that passes; it checks poly_in_g,
+    and then poly_in_x, the composition, through the first d+1 samples'
+    differences only, and on the convention's own grid neither composes nor
     checks a second polynomial."""
 
     TRUE_X = TestVerification.TRUE_X  # degree 4
@@ -575,11 +557,11 @@ class TestChecksInTheIndexBasis:
         """fit() over m samples of TRUE_X on grid, the last one moved by 1
         when moved; the scan, which would reject moved samples as not
         polynomial, is handed the true samples, so that the check must
-        reject them.  Returns fit()'s result or error, its checks in order,
-        each as (basis, coefficients, samples checked): basis "g" for a
-        _first_miss call at the integer points s, s+1, ..., and "x" for a
-        _first_miss_by_division call on the grid, which checks as many samples
-        as it is given differences; and the numbers of solves and composes."""
+        reject them.  Returns fit()'s result or error, its
+        _first_miss_by_division calls in order, each as (basis, coefficients,
+        samples checked): basis "g" on the index grid (s, 1, 1) and "x" on
+        the input grid, each checking as many samples as it is given
+        differences; and the numbers of solves and composes."""
         x0, h = self.GRIDS[grid]
         shift = {"start_zero": 0, "start_one": 1}[convention]
         values = [Polynomial(coefficients=self.TRUE_X)(x0 + i * h) for i in range(m)]
@@ -588,17 +570,13 @@ class TestChecksInTheIndexBasis:
             values[-1] += 1
             assert common_denominator(values)[0] == den
         calls, used = [], {"solves": 0, "composes": 0}
-        real_first_miss, real_by_division, real_solve, real_compose, real_scan = \
-            solver._first_miss, solver._first_miss_by_division, solver._back_substitute, \
-            solver._compose, difftable.scan_degree_scaled
-
-        def first_miss(poly, samples, index_grid):
-            calls.append(("g" if index_grid == (shift, 1, 1) else "x", len(poly[1]), len(samples[1])))
-            return real_first_miss(poly, samples, index_grid)
+        real_by_division, real_solve, real_compose, real_scan = \
+            solver._first_miss_by_division, solver._back_substitute, solver._compose, \
+            difftable.scan_degree_scaled
 
         def first_miss_by_division(poly, differences, grid_):
-            calls.append(("x" if grid_ == solver._grid(x0, h) else "g", len(poly[1]),
-                          len(differences[1])))
+            basis = "g" if grid_ == (shift, 1, 1) else "x" if grid_ == solver._grid(x0, h) else grid_
+            calls.append((basis, len(poly[1]), len(differences[1])))
             return real_by_division(poly, differences, grid_)
 
         def solve(*args):
@@ -609,7 +587,6 @@ class TestChecksInTheIndexBasis:
             used["composes"] += 1
             return real_compose(*args)
 
-        monkeypatch.setattr(solver, "_first_miss", first_miss)
         monkeypatch.setattr(solver, "_first_miss_by_division", first_miss_by_division)
         monkeypatch.setattr(solver, "_back_substitute", solve)
         monkeypatch.setattr(solver, "_compose", compose)
@@ -622,8 +599,7 @@ class TestChecksInTheIndexBasis:
         assert isinstance(outcome, InconsistentSequenceError) == moved
         return outcome, calls, used
 
-    # m = 6..10 run Horner on poly_in_g at all m, 11 and 40 the running sums,
-    # 65 and 130 the prefix guess first
+    # m = 65 and 130 try the prefix guess first
     @pytest.mark.parametrize("m", [6, 10, 11, 40, 65, 130])
     @pytest.mark.parametrize("grid", ["3.3/0.1", "integer+2"])
     @pytest.mark.parametrize("convention", ["start_zero", "start_one"])
@@ -631,11 +607,10 @@ class TestChecksInTheIndexBasis:
     def test_poly_in_x_is_checked_at_no_more_than_d_plus_1_samples(
             self, monkeypatch, m, convention, grid, moved):
         _, calls, used = self.traced_fit(monkeypatch, m, convention, grid, moved)
-        # only a candidate whose poly_in_g matches every sample is composed
-        assert used["solves"] >= 1 and used["composes"] == (0 if moved else 1)
-        assert [basis for basis, _, _ in calls] == ["g"] * used["solves"] + ["x"] * (not moved)
-        for _, coeffs, checked in calls[used["solves"]:]:
-            assert coeffs <= self.D + 1 and checked <= self.D + 1
+        # a candidate whose sums miss a sample is neither solved nor composed
+        assert used == ({"solves": 0, "composes": 0} if moved else {"solves": 1, "composes": 1})
+        assert calls == ([] if moved else [("g", self.D + 1, self.D + 1),
+                                           ("x", self.D + 1, self.D + 1)])
 
     @pytest.mark.parametrize("m", [6, 10, 11, 40, 65, 130])
     @pytest.mark.parametrize("convention, grid", [("start_zero", "integer"),
@@ -644,8 +619,8 @@ class TestChecksInTheIndexBasis:
     def test_on_the_own_grid_poly_in_x_is_neither_composed_nor_checked(
             self, monkeypatch, m, convention, grid, moved):
         result, calls, used = self.traced_fit(monkeypatch, m, convention, grid, moved)
-        assert used["composes"] == 0
-        assert [basis for basis, _, _ in calls] == ["g"] * used["solves"]
+        assert used == {"solves": 0 if moved else 1, "composes": 0}
+        assert calls == ([] if moved else [("g", self.D + 1, self.D + 1)])
         if not moved:
             assert result.poly_in_x is result.poly_in_g
 
@@ -657,7 +632,7 @@ class TestChecksInTheIndexBasis:
         assert error.sample_index == m - 1
         assert str(error) == \
             f"fitted polynomial does not reproduce sample {m - 1} (x={x0 + (m - 1) * h})"
-        assert calls == [("g", self.D + 1, m)]
+        assert calls == []
 
 
 # Per-cell back-substitution straight from the triangle definitions, with the
