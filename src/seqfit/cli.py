@@ -2,14 +2,17 @@
 
 Exit codes: 0 success, 1 domain errors (non-polynomial data, inconsistency,
 failed verification), 2 usage and input-parse errors.  All errors go to
-stderr; results go to stdout.  The parser is the standard library's argparse.
+stderr; results go to stdout.  One table, _COMMANDS, declares the grammar.
+A well-formed line is read against it directly; the standard library's
+argparse, built from the same table, is imported only for --help,
+--version, the lines that reading declines, and usage errors.
 """
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 from collections.abc import Iterable, Iterator
+from types import SimpleNamespace
 
 from . import __version__
 from .difftable import _difference_rows
@@ -20,43 +23,14 @@ from .triangles import TriangleKind, cells_before_print, triangle_rows
 
 _CONVENTIONS = {"auto": "start_zero", "start-zero": "start_zero", "start-one": "start_one"}
 
-# every option that takes a value; --self, --online, --help and --version are flags
-_TAKES_VALUE = frozenset({"--start", "--step", "--convention", "--format", "--min-witnesses",
-                          "--kind", "--rows", "--oeis", "--cells"})
-
 
 class _UsageError(Exception):
     """A bad command line or input: exit 2, with `Error: <message>` on stderr
     after the usage of parser (None: the parser of the command that ran)."""
 
-    def __init__(self, message: str, parser: argparse.ArgumentParser | None = None):
+    def __init__(self, message: str, parser=None):
         super().__init__(message)
         self.parser = parser
-
-
-class _Store(argparse.Action):
-    """argparse's default action, storing one value, except that the value
-    `--` is kept, as click kept it: argparse drops it from `--start=--` and
-    passes [] here (CPython 3.11), so it is converted and checked here."""
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        if values == []:
-            values = parser._get_value(self, "--")
-            parser._check_value(self, values)
-        setattr(namespace, self.dest, values)
-
-
-class _Parser(argparse.ArgumentParser):
-    """Options are spelled out in full, `--help` is the only help option, and
-    errors raise _UsageError instead of exiting."""
-
-    def __init__(self, **kwargs):
-        super().__init__(allow_abbrev=False, add_help=False, **kwargs)
-        self.register("action", None, _Store)
-        self.add_argument("--help", action="help", help="Show this message and exit.")
-
-    def error(self, message):
-        raise _UsageError(message, self)
 
 
 def _open_input(path: str):
@@ -83,17 +57,44 @@ def _at_least(low: int):
     def convert(text: str) -> int:
         try:
             value = int(text)
+            if value >= low:
+                return value
+            message = f"{value} is not in the range x>={low}"
         except ValueError:
-            raise argparse.ArgumentTypeError(f"{text!r} is not a valid integer") from None
-        if value < low:
-            raise argparse.ArgumentTypeError(f"{value} is not in the range x>={low}")
-        return value
+            message = f"{text!r} is not a valid integer"
+        import argparse
+
+        raise argparse.ArgumentTypeError(message)
     return convert
 
 
-def _parser() -> _Parser:
-    """The `seqfit` parser; each command's namespace holds its function in
-    `run` and its own parser in `parser`."""
+def _parser():
+    """The `seqfit` parser, built from _COMMANDS; `commands` maps each command to its parser."""
+    import argparse
+
+    class _Store(argparse.Action):
+        """argparse's default action, storing one value, except that the value
+        `--` is kept, as click kept it: argparse drops it from `--start=--` and
+        passes [] here (CPython 3.11), so it is converted and checked here."""
+
+        def __call__(self, parser, namespace, values, option_string=None):
+            if values == []:
+                values = parser._get_value(self, "--")
+                parser._check_value(self, values)
+            setattr(namespace, self.dest, values)
+
+    class _Parser(argparse.ArgumentParser):
+        """Options are spelled out in full, `--help` is the only help option, and
+        errors raise _UsageError instead of exiting."""
+
+        def __init__(self, **kwargs):
+            super().__init__(allow_abbrev=False, add_help=False, **kwargs)
+            self.register("action", None, _Store)
+            self.add_argument("--help", action="help", help="Show this message and exit.")
+
+        def error(self, message):
+            raise _UsageError(message, self)
+
     parser = _Parser(prog="seqfit", formatter_class=argparse.RawDescriptionHelpFormatter,
                      description="""\
 Recover exact polynomial coefficients from a sequence of values.
@@ -104,46 +105,21 @@ Examples:
   seqfit fit values.txt --start 3.3 --step 0.1    # arbitrary affine grid""")
     parser.add_argument("--version", action="version", version=f"seqfit, version {__version__}",
                         help="Show the version and exit.")
-    commands = parser.add_subparsers(title="commands", dest="command", metavar="COMMAND")
-
-    def command(name: str, run, description: str) -> _Parser:
-        sub = commands.add_parser(name, help=description, description=description)
-        sub.set_defaults(run=run, parser=sub)
-        return sub
-
-    def input_file(sub: _Parser) -> None:
-        sub.add_argument("input_file", metavar="INPUT_FILE", nargs="?", default="-",
-                         help="The values, or '-' for stdin (the default).")
-
-    sub = command("fit", fit_cmd,
-                  "Fit the generating polynomial of the sequence in INPUT_FILE (or stdin).")
-    input_file(sub)
-    sub.add_argument("--start", default="0", help="First grid value x0 (default 0).")
-    sub.add_argument("--step", default="1", help="Constant grid step h (default 1).")
-    sub.add_argument("--convention", choices=sorted(_CONVENTIONS), default="auto",
-                     help="Index convention; auto remaps the grid to indexes 0, 1, 2, ...")
-    sub.add_argument("--format", dest="fmt", choices=["text", "json"], default="text")
-    sub.add_argument("--min-witnesses", type=_at_least(2), default=2,
-                     help="Entries required in the constant row (default 2).")
-
-    sub = command("difftable", difftable_cmd,
-                  "Print the difference table of the sequence in INPUT_FILE (or stdin).")
-    input_file(sub)
-    sub.add_argument("--format", dest="fmt", choices=["table", "json"], default="table")
-    sub.add_argument("--min-witnesses", type=_at_least(2), default=2)
-
-    sub = command("triangle", triangle_cmd, "Print a number triangle with the given number of rows.")
-    sub.add_argument("--kind", choices=[kind.value for kind in TriangleKind], required=True)
-    sub.add_argument("--rows", type=_at_least(1), required=True)
-    sub.add_argument("--format", dest="fmt", choices=["table", "json", "bfile"], default="table")
-
-    sub = command("verify", verify_cmd, "Run self-verification suites and OEIS cross-checks.")
-    sub.add_argument("--self", dest="self_check", action="store_true",
-                     help="Run the identity suites.")
-    sub.add_argument("--oeis", dest="oeis_id", help="Cross-check against an OEIS b-file.")
-    sub.add_argument("--online", action="store_true",
-                     help="Fetch the b-file from oeis.org instead of fixtures.")
-    sub.add_argument("--cells", type=_at_least(1), default=45)
+    subparsers = parser.add_subparsers(title="commands", dest="command", metavar="COMMAND")
+    parser.commands = {}
+    for name, (_, description, takes_input, options) in _COMMANDS.items():
+        sub = parser.commands[name] = subparsers.add_parser(
+            name, help=description, description=description)
+        if takes_input:
+            sub.add_argument("input_file", metavar="INPUT_FILE", nargs="?", default="-",
+                             help="The values, or '-' for stdin (the default).")
+        for flag, dest, default, check, required, help_ in options:
+            if default is False:
+                sub.add_argument(flag, dest=dest, action="store_true", help=help_)
+            else:
+                listed = isinstance(check, list)  # choices, else a type
+                sub.add_argument(flag, dest=dest, default=default, required=required, help=help_,
+                                 choices=check if listed else None, type=None if listed else check)
     return parser
 
 
@@ -160,22 +136,69 @@ def _joined(argv: list[str]) -> list[str]:
     return joined
 
 
+def _fast_args(words: list[str]) -> SimpleNamespace | None:
+    """The namespace argparse would make of words (from _joined), read against _COMMANDS
+    without argparse; None, leaving the line to argparse, unless the first word is a
+    command, each later word is, once, one of its options or its INPUT_FILE, and each
+    required option is given.  A flag is spelled bare, a valued option as `--name=value`
+    with a nonempty value that passes its check and does not start with `--`, and
+    INPUT_FILE is `-` or a nonempty word that does not start with `-`."""
+    if not words or words[0] not in _COMMANDS:
+        return None
+    _, _, takes_input, options = _COMMANDS[words[0]]
+    args = {"command": words[0], **{dest: default for _, dest, default, *_ in options}}
+    if takes_input:
+        args["input_file"] = "-"
+    by_flag, seen = {option[0]: option for option in options}, set()
+    for word in words[1:]:
+        flag, joined, value = word.partition("=")
+        option = by_flag.get(flag)
+        key = flag if option else "INPUT_FILE"
+        if key in seen:
+            return None
+        seen.add(key)
+        if option is None:
+            if not takes_input or word != "-" and (not word or word.startswith("-")):
+                return None
+            args["input_file"] = word
+        elif option[2] is False:  # a flag
+            if joined:
+                return None
+            args[option[1]] = True
+        else:
+            check = option[3]
+            if not value or value.startswith("--") or isinstance(check, list) and value not in check:
+                return None
+            if callable(check):
+                try:
+                    value = check(value)
+                except Exception:  # argparse, parsing the line again, reports it
+                    return None
+            args[option[1]] = value
+    if any(required and flag not in seen for flag, _, _, _, required, _ in options):
+        return None
+    return SimpleNamespace(**args)
+
+
 def _run(argv: list[str]) -> int:
-    """Parse argv, run its command, and return the exit code."""
-    parser = _parser()
-    args = argparse.Namespace(parser=parser)
+    """Parse argv, by _fast_args or else argparse, run its command, and return the exit code."""
+    words = _joined(argv)
+    args = _fast_args(words)
     try:
-        try:
-            _, extra = parser.parse_known_args(_joined(argv), args)
-        except SystemExit as exc:  # --help and --version print, then exit 0
-            return exc.code
-        if extra:
-            args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
-        if args.command is None:
-            parser.error("missing command")
-        return args.run(args)
+        if args is None:
+            parser = _parser()
+            try:
+                args, extra = parser.parse_known_args(words)
+            except SystemExit as exc:  # --help and --version print, then exit 0
+                return exc.code
+            if extra:
+                parser.commands.get(args.command, parser).error(
+                    f"unrecognized arguments: {' '.join(extra)}")
+            if args.command is None:
+                parser.error("missing command")
+        return _COMMANDS[args.command][0](args)
     except _UsageError as exc:
-        parser = exc.parser or args.parser
+        parser = exc.parser or _parser().commands[args.command]
         print(f"{parser.format_usage()}Try '{parser.prog} --help' for help.\n\nError: {exc}",
               file=sys.stderr)
         return 2
@@ -272,25 +295,18 @@ def fit_cmd(args) -> int:
 
 
 def _format_fit(result, fmt: str) -> str:
-    if fmt == "json":
-        import json
-
-        return json.dumps({
-            "degree": result.degree_report.degree,
-            "basis_g": {
-                "x0": format_scalar(result.index_map.x0),
-                "h": format_scalar(result.index_map.h),
-            },
-            "coefficients_g": [format_scalar(c) for c in result.poly_in_g.coefficients],
-            "coefficients_x": [format_scalar(c) for c in result.poly_in_x.coefficients],
-            "verified": True,
-        }, indent=2)
-    x0, h, g, x = (", ".join(format_scalar(c, prefer_decimal=True) for c in scalars)
+    as_json = fmt == "json"
+    x0, h, g, x = ([format_scalar(c, prefer_decimal=not as_json) for c in scalars]
                    for scalars in ([result.index_map.x0], [result.index_map.h],
                                    result.poly_in_g.coefficients, result.poly_in_x.coefficients))
+    if as_json:  # as json.dumps(indent=2) lays out the object
+        g, x = (_json_list((f'"{c}"' for c in coefficients), "  ") for coefficients in (g, x))
+        return (f'{{\n  "degree": {result.degree_report.degree},\n  "basis_g": {{\n'
+                f'    "x0": "{x0[0]}",\n    "h": "{h[0]}"\n  }},\n'
+                f'  "coefficients_g": {g},\n  "coefficients_x": {x},\n  "verified": true\n}}')
     return (f"degree: {result.degree_report.degree}\n"
-            f"coefficients in g = (x - {x0})/{h} (ascending power): {g}\n"
-            f"coefficients in x (ascending power): {x}\n"
+            f"coefficients in g = (x - {x0[0]})/{h[0]} (ascending power): {', '.join(g)}\n"
+            f"coefficients in x (ascending power): {', '.join(x)}\n"
             "verified against all input samples")
 
 
@@ -407,6 +423,41 @@ def _run_self_checks() -> int:
         print(f"{'PASS' if ok else 'FAIL'}: {name}")
         failures += not ok
     return failures
+
+
+# The CLI grammar, read by _fast_args and _parser: each command's function, its
+# description, whether it takes INPUT_FILE, and its options, each as (flag, dest,
+# default, check, required, help).  A check is a list of choices, an _at_least
+# type, or None for any value; an option whose default is False is a flag.
+_COMMANDS = {
+    "fit": (fit_cmd, "Fit the generating polynomial of the sequence in INPUT_FILE (or stdin).",
+            True, (
+        ("--start", "start", "0", None, False, "First grid value x0 (default 0)."),
+        ("--step", "step", "1", None, False, "Constant grid step h (default 1)."),
+        ("--convention", "convention", "auto", sorted(_CONVENTIONS), False,
+         "Index convention; auto remaps the grid to indexes 0, 1, 2, ..."),
+        ("--format", "fmt", "text", ["text", "json"], False, None),
+        ("--min-witnesses", "min_witnesses", 2, _at_least(2), False,
+         "Entries required in the constant row (default 2)."))),
+    "difftable": (difftable_cmd,
+                  "Print the difference table of the sequence in INPUT_FILE (or stdin).", True, (
+        ("--format", "fmt", "table", ["table", "json"], False, None),
+        ("--min-witnesses", "min_witnesses", 2, _at_least(2), False, None))),
+    "triangle": (triangle_cmd, "Print a number triangle with the given number of rows.", False, (
+        ("--kind", "kind", None, [kind.value for kind in TriangleKind], True, None),
+        ("--rows", "rows", None, _at_least(1), True, None),
+        ("--format", "fmt", "table", ["table", "json", "bfile"], False, None))),
+    "verify": (verify_cmd, "Run self-verification suites and OEIS cross-checks.", False, (
+        ("--self", "self_check", False, None, False, "Run the identity suites."),
+        ("--oeis", "oeis_id", None, None, False, "Cross-check against an OEIS b-file."),
+        ("--online", "online", False, None, False,
+         "Fetch the b-file from oeis.org instead of fixtures."),
+        ("--cells", "cells", 45, _at_least(1), False, None))),
+}
+
+# every option that takes a value; the flags, --help and --version take none
+_TAKES_VALUE = frozenset(option[0] for *_, options in _COMMANDS.values()
+                         for option in options if option[2] is not False)
 
 
 if __name__ == "__main__":

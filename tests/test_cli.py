@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -14,7 +15,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seqfit import cli, format_scalar, oeis, oracle, parse_scalar, triangles
+from seqfit import AffineMap, cli, fit, format_scalar, oeis, oracle, parse_scalar, triangles
 from seqfit.cli import main
 from seqfit.errors import SeqfitError
 from seqfit.oeis import BFile
@@ -704,18 +705,38 @@ def test_version_flag():
     assert "seqfit" in result.output
 
 
+def child_imports(args):
+    """A `python -m seqfit.cli` child run on four squares, and the modules it imported."""
+    run_ = subprocess.run([sys.executable, "-X", "importtime", "-m", "seqfit.cli", *args],
+                          input="1\n4\n9\n16\n", capture_output=True, text=True)
+    return run_, {line.rsplit("|", 1)[1].strip() for line in run_.stderr.splitlines()
+                  if line.startswith("import time:")}
+
+
 def test_neither_import_nor_a_run_loads_click():
     probe = "import sys, seqfit.cli; print('click' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
     assert out.stdout == "False\n"
-    run_ = subprocess.run([sys.executable, "-X", "importtime", "-m", "seqfit.cli", "fit"],
-                          input="1\n4\n9\n16\n", capture_output=True, text=True)
+    run_, loaded = child_imports(["fit"])
     assert run_.returncode == 0
     assert run_.stdout.startswith("degree: 2\n")
-    loaded = [line.rsplit("|", 1)[1].strip() for line in run_.stderr.splitlines()
-              if line.startswith("import time:")]
-    assert "argparse" in loaded  # the probe sees the run's imports
+    assert "seqfit.solver" in loaded  # the probe sees the run's imports
     assert [name for name in loaded if name.split(".")[0] == "click"] == []
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_a_well_formed_fit_loads_neither_argparse_nor_json(fmt):
+    run_, loaded = child_imports(["fit", "--format", fmt])
+    assert run_.returncode == 0
+    assert "seqfit.solver" in loaded
+    assert loaded & {"argparse", "gettext", "locale", "json"} == set()
+
+
+def test_a_usage_error_loads_argparse():
+    run_, loaded = child_imports(["fit", "--bogus"])
+    assert run_.returncode == 2
+    assert run_.stderr.splitlines()[-1] == "Error: unrecognized arguments: --bogus"
+    assert "argparse" in loaded
 
 
 def test_main_follows_clicks_calling_convention(tmp_path, capsys):
@@ -809,7 +830,10 @@ inputs = st.one_of(
     st.binary(max_size=12),
 )
 valid_counts = st.integers(1, 8).map(str)
-counts = st.one_of(valid_counts, valid_counts, st.integers(-1, 8).map(str), broken_scalars)
+# int() reads "1_000" as 1000: as --rows it asks for a triangle of hundreds of MB, so a
+# count draws "1_0" in its place
+counts = st.one_of(valid_counts, valid_counts, st.integers(-1, 8).map(str),
+                   broken_scalars.map(lambda text: "1_0" if text == "1_000" else text))
 
 
 def options(**choices):
@@ -856,3 +880,93 @@ def test_any_command_line_exits_0_1_or_2_without_a_traceback(command_line, stdin
         assert result.stdout == ""
     elif result.exit_code == 1:
         assert all(REPORT_LINE.match(line) for line in result.stdout.splitlines())
+
+
+def parsed_by_argparse(words):
+    """The namespace and extra words of argparse's parse of words."""
+    args, extra = cli._parser().parse_known_args(words)
+    return vars(args), extra
+
+
+# words the grammar above never draws: the end of the options, stdin, a negative
+# number, a flag with a value, help and version, values that start with `--` or are
+# empty, and INPUT_FILEs; None repeats a word already drawn
+odd_words = st.sampled_from(["--", "-", "-5", "--self=1", "--self", "--online", "--help",
+                             "--version", "--start=--x", "--start=", "--format=", "--rows=",
+                             "--kind=", "--oeis=", "in.txt", "", "fit", "no-such-file.txt"])
+
+
+@settings(max_examples=500, deadline=None)
+@given(command_lines, st.lists(st.tuples(st.integers(0, 20), st.one_of(odd_words, st.none())),
+                               max_size=3),
+       st.booleans())
+def test_the_fast_parse_declines_or_equals_argparse(command_line, inserts, joined):
+    command, drawn = command_line
+    pairs = [pair for pair in drawn if pair]
+    args = [command, *(word for name, value in pairs
+                       for word in ([f"{name}={value}"] if joined else [name, value])
+                       if word is not None)]
+    for at, word in inserts:  # at 0, before the command
+        args.insert(at % (len(args) + 1), args[at % len(args)] if word is None else word)
+    words = cli._joined(args)
+    fast = cli._fast_args(words)
+    if fast is not None:
+        assert (vars(fast), []) == parsed_by_argparse(words)
+
+
+@pytest.mark.parametrize("args", [
+    ["fit"],
+    ["fit", "-", "--start=-1/2", "--step=0.1", "--format=json", "--convention=start-one"],
+    ["fit", "--start", "-1/2", "in.txt", "--min-witnesses", "3"],
+    ["difftable", "-", "--format=json"],
+    ["difftable", "--min-witnesses=٣", "in.txt"],
+    ["triangle", "--kind=awnt", "--rows=30", "--format=bfile"],
+    ["triangle", "--rows", "5", "--kind", "stirling2"],
+    ["verify", "--self"],
+    ["verify", "--oeis", "A019538", "--cells=30", "--online", "--self"],
+])
+def test_the_fast_parse_reads_the_lines_that_need_no_argparse(args):
+    words = cli._joined(args)
+    assert vars(cli._fast_args(words)) == parsed_by_argparse(words)[0]
+
+
+@pytest.mark.parametrize("args", [
+    [], ["--help"], ["--version"], ["fit", "--help"], ["fit", "--"], ["fit", "--", "in.txt"],
+    ["fit", "-5"], ["verify", "--self=1"], ["fit", "--format=csv"], ["fit", "--start"],
+    ["fit", "--start="], ["fit", ""], ["fit", "--start=--"], ["fit", "--start=0", "--start=1"],
+    ["fit", "a.txt", "b.txt"],
+    ["triangle", "--kind=awnt"], ["triangle", "--kind=awnt", "--rows=0"], ["--start=0", "fit"],
+    ["verify", "--kind=awnt"], ["bogus"], ["fit", "--form=json"],
+])
+def test_the_fast_parse_declines_the_rest(args):
+    assert cli._fast_args(cli._joined(args)) is None
+
+
+def old_fit_json(result):
+    """`seqfit fit --format json`'s output as json.dumps made it."""
+    return json.dumps({
+        "degree": result.degree_report.degree,
+        "basis_g": {
+            "x0": format_scalar(result.index_map.x0),
+            "h": format_scalar(result.index_map.h),
+        },
+        "coefficients_g": [format_scalar(c) for c in result.poly_in_g.coefficients],
+        "coefficients_x": [format_scalar(c) for c in result.poly_in_x.coefficients],
+        "verified": True,
+    }, indent=2)
+
+
+def test_the_fit_json_is_laid_out_as_json_dumps_lays_it_out():
+    rng = random.Random(3213)
+    for trial in range(300):
+        d = rng.choice([rng.randint(0, 8), rng.randint(0, 60)])
+        coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(d)] + [Fraction(1, 3)]
+        if trial % 3 == 0:  # a decimal grid
+            x0 = Fraction(rng.randint(-99, 99), 10)
+            h = Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.choice([10, 100]))
+        else:
+            x0, h = Fraction(rng.randint(-9, 9)), Fraction(rng.choice([-3, -1, 1, 2]))
+        values = [sum(c * (x0 + i * h) ** j for j, c in enumerate(coeffs))
+                  for i in range(d + rng.randint(2, 4))]
+        result = fit(values, AffineMap(x0, h), rng.choice(["start_zero", "start_one"]))
+        assert cli._format_fit(result, "json") == old_fit_json(result)
