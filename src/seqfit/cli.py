@@ -2,14 +2,15 @@
 
 Exit codes: 0 success, 1 domain errors (non-polynomial data, inconsistency,
 failed verification), 2 usage and input-parse errors.  All errors go to
-stderr; results go to stdout.  One table, _COMMANDS, declares the grammar.
-A well-formed line is read against it directly; the standard library's
-argparse, built from the same table, is imported only for --help,
---version, the lines that reading declines, and usage errors.
+stderr; results go to stdout.  One table, _COMMANDS, declares the grammar,
+and one reader, _parse, reads every command line against it.  The standard
+library's argparse, built from the same table, only formats --help and the
+usage line of a usage error, and is imported only for them.
 """
 from __future__ import annotations
 
 import os
+import re
 import sys
 from collections.abc import Iterable, Iterator
 from types import SimpleNamespace
@@ -25,12 +26,12 @@ _CONVENTIONS = {"auto": "start_zero", "start-zero": "start_zero", "start-one": "
 
 
 class _UsageError(Exception):
-    """A bad command line or input: exit 2, with `Error: <message>` on stderr
-    after the usage of parser (None: the parser of the command that ran)."""
+    """A bad command line or input: exit 2, with `Error: <message>` on stderr after
+    the usage of command (None: `seqfit` itself, or the command that ran)."""
 
-    def __init__(self, message: str, parser=None):
+    def __init__(self, message: str, command: str | None = None):
         super().__init__(message)
-        self.parser = parser
+        self.command = command
 
 
 def _open_input(path: str):
@@ -53,191 +54,173 @@ def _open_input(path: str):
 
 
 def _at_least(low: int):
-    """The type of an integer option no less than low."""
+    """The check of an integer option no less than low: it returns the integer,
+    or raises ValueError with argparse's message."""
     def convert(text: str) -> int:
         try:
             value = int(text)
-            if value >= low:
-                return value
-            message = f"{value} is not in the range x>={low}"
         except ValueError:
-            message = f"{text!r} is not a valid integer"
-        import argparse
-
-        raise argparse.ArgumentTypeError(message)
+            raise ValueError(f"{text!r} is not a valid integer") from None
+        if value < low:
+            raise ValueError(f"{value} is not in the range x>={low}")
+        return value
     return convert
 
 
-def _parser():
-    """The `seqfit` parser, built from _COMMANDS; `commands` maps each command to its parser."""
+def _parser(command: str | None = None):
+    """The argparse parser, built from _COMMANDS, that formats the --help and the
+    usage line of command (None: of `seqfit` itself); it parses nothing."""
     import argparse
 
-    class _Store(argparse.Action):
-        """argparse's default action, storing one value, except that the value
-        `--` is kept, as click kept it: argparse drops it from `--start=--` and
-        passes [] here (CPython 3.11), so it is converted and checked here."""
-
-        def __call__(self, parser, namespace, values, option_string=None):
-            if values == []:
-                values = parser._get_value(self, "--")
-                parser._check_value(self, values)
-            setattr(namespace, self.dest, values)
-
     class _Parser(argparse.ArgumentParser):
-        """Options are spelled out in full, `--help` is the only help option, and
-        errors raise _UsageError instead of exiting."""
+        """`--help` is the only help option."""
 
         def __init__(self, **kwargs):
-            super().__init__(allow_abbrev=False, add_help=False, **kwargs)
-            self.register("action", None, _Store)
+            super().__init__(add_help=False, **kwargs)
             self.add_argument("--help", action="help", help="Show this message and exit.")
 
-        def error(self, message):
-            raise _UsageError(message, self)
-
-    parser = _Parser(prog="seqfit", formatter_class=argparse.RawDescriptionHelpFormatter,
-                     description="""\
+    if command is None:
+        parser = _Parser(prog="seqfit", formatter_class=argparse.RawDescriptionHelpFormatter,
+                         description="""\
 Recover exact polynomial coefficients from a sequence of values.
 
 Examples:
   seqfit fit values.txt --start 0 --step 1        # grid 0, 1, 2, ...
   seqfit fit values.txt --start 1 --step 1 --convention start-one
   seqfit fit values.txt --start 3.3 --step 0.1    # arbitrary affine grid""")
-    parser.add_argument("--version", action="version", version=f"seqfit, version {__version__}",
-                        help="Show the version and exit.")
-    subparsers = parser.add_subparsers(title="commands", dest="command", metavar="COMMAND")
-    parser.commands = {}
-    for name, (_, description, takes_input, options) in _COMMANDS.items():
-        sub = parser.commands[name] = subparsers.add_parser(
-            name, help=description, description=description)
-        if takes_input:
-            sub.add_argument("input_file", metavar="INPUT_FILE", nargs="?", default="-",
-                             help="The values, or '-' for stdin (the default).")
-        for flag, dest, default, check, required, help_ in options:
-            if default is False:
-                sub.add_argument(flag, dest=dest, action="store_true", help=help_)
-            else:
-                listed = isinstance(check, list)  # choices, else a type
-                sub.add_argument(flag, dest=dest, default=default, required=required, help=help_,
-                                 choices=check if listed else None, type=None if listed else check)
+        parser.add_argument("--version", action="version", help="Show the version and exit.")
+        commands = parser.add_subparsers(title="commands", metavar="COMMAND")
+        for name, (_, description, *_) in _COMMANDS.items():
+            commands.add_parser(name, help=description)
+        return parser
+    _, description, takes_input, options = _COMMANDS[command]
+    parser = _Parser(prog=f"seqfit {command}", description=description)
+    if takes_input:
+        parser.add_argument("input_file", metavar="INPUT_FILE", nargs="?",
+                            help="The values, or '-' for stdin (the default).")
+    for flag, dest, default, check, required, help_ in options:
+        if default is False:
+            parser.add_argument(flag, action="store_true", help=help_)
+        else:
+            parser.add_argument(flag, dest=dest, required=required, help=help_,
+                                choices=check if isinstance(check, list) else None)
     return parser
 
 
-def _joined(argv: list[str]) -> list[str]:
-    """argv with each option that takes a value joined to the word after it,
-    `--start -1/2` as `--start=-1/2`: an option takes the next word whatever
-    it is, as click read it, where argparse would read `-1/2` as an option."""
-    joined, words = [], iter(argv)
+def _parse(argv: list[str]) -> SimpleNamespace | None:
+    """argv read against _COMMANDS as argparse reads it; None once --help or
+    --version has printed.  Options are spelled in full, and one that takes a
+    value takes it after `=` or as the next word, whatever that word is; of a
+    repeated option the last counts.  `-` and negative numbers are words, not
+    options, and `--` ends the options.  Raises _UsageError for the first bad
+    word when it is read, then for a missing required option, then for the
+    unrecognized words, each in argparse's wording (CPython 3.11)."""
+    valued = {option[0] for *_, options in _COMMANDS.values() for option in options
+              if option[2] is not False}
+    commands = ", ".join(map(repr, _COMMANDS))
+    command, args, extras, words = None, {}, [], iter(argv)
+    by_flag = {"--help": None, "--version": None}  # the options of the parser reading
+    takes_input = ended = after_input = False  # after_input: the last word was INPUT_FILE
     for word in words:
-        if word == "--":
-            return [*joined, word, *words]
-        value = next(words, None) if word in _TAKES_VALUE else None
-        joined.append(word if value is None else f"{word}={value}")
-    return joined
-
-
-def _fast_args(words: list[str]) -> SimpleNamespace | None:
-    """The namespace argparse would make of words (from _joined), read against _COMMANDS
-    without argparse; None, leaving the line to argparse, unless the first word is a
-    command, each later word is, once, one of its options or its INPUT_FILE, and each
-    required option is given.  A flag is spelled bare, a valued option as `--name=value`
-    with a nonempty value that passes its check and does not start with `--`, and
-    INPUT_FILE is `-` or a nonempty word that does not start with `-`."""
-    if not words or words[0] not in _COMMANDS:
-        return None
-    _, _, takes_input, options = _COMMANDS[words[0]]
-    args = {"command": words[0], **{dest: default for _, dest, default, *_ in options}}
-    if takes_input:
-        args["input_file"] = "-"
-    by_flag, seen = {option[0]: option for option in options}, set()
-    for word in words[1:]:
+        if not ended and word == "--":
+            ended = True
+            if command is None and next(words, None) is not None:
+                raise _UsageError(f"argument COMMAND: invalid choice: '--' (choose from {commands})")
+            if not (takes_input and (after_input or "input_file" not in args)):
+                extras.append(word)  # else argparse drops it as INPUT_FILE's
+            continue
+        after_input = False
+        if not ended and word in valued:  # `--start -1/2` reads as `--start=-1/2`
+            value = next(words, None)
+            word = word if value is None else f"{word}={value}"
         flag, joined, value = word.partition("=")
-        option = by_flag.get(flag)
-        key = flag if option else "INPUT_FILE"
-        if key in seen:
-            return None
-        seen.add(key)
-        if option is None:
-            if not takes_input or word != "-" and (not word or word.startswith("-")):
+        if not ended and flag in by_flag:
+            option = by_flag[flag]
+            if option is None or option[2] is False:  # --help, --version or a flag
+                if joined:
+                    raise _UsageError(f"argument {flag}: ignored explicit argument {value!r}",
+                                      command)
+                if option is not None:
+                    args[option[1]] = True
+                    continue
+                if flag == "--help":
+                    _parser(command).print_help()
+                else:
+                    print(f"seqfit, version {__version__}")
                 return None
-            args["input_file"] = word
-        elif option[2] is False:  # a flag
-            if joined:
-                return None
-            args[option[1]] = True
-        else:
+            if not joined:
+                raise _UsageError(f"argument {flag}: expected one argument", command)
             check = option[3]
-            if not value or value.startswith("--") or isinstance(check, list) and value not in check:
-                return None
+            if isinstance(check, list) and value not in check:
+                raise _UsageError(f"argument {flag}: invalid choice: {value!r} "
+                                  f"(choose from {', '.join(map(repr, check))})", command)
             if callable(check):
                 try:
                     value = check(value)
-                except Exception:  # argparse, parsing the line again, reports it
-                    return None
+                except ValueError as exc:
+                    raise _UsageError(f"argument {flag}: {exc}", command) from None
             args[option[1]] = value
-    if any(required and flag not in seen for flag, _, _, _, required, _ in options):
-        return None
+        elif (not ended and word[:1] == "-" and word != "-" and " " not in word
+              and not re.match(r"^-\d+$|^-\d*\.\d+$", word)):
+            extras.append(word)  # an option this parser does not have
+        elif command is None:
+            if word not in _COMMANDS:
+                raise _UsageError(f"argument COMMAND: invalid choice: {word!r} (choose from {commands})")
+            command, (_, _, takes_input, options) = word, _COMMANDS[word]
+            by_flag = {"--help": None, **{option[0]: option for option in options}}
+            args = {"command": command, **{dest: default for _, dest, default, *_ in options}}
+        elif takes_input and "input_file" not in args:
+            args["input_file"], after_input = word, True
+        else:
+            extras.append(word)
+    if command is None:
+        raise _UsageError(f"unrecognized arguments: {' '.join(extras)}" if extras
+                          else "missing command")
+    missing = [flag for flag, dest, _, _, required, _ in options if required and args[dest] is None]
+    if missing:
+        raise _UsageError(f"the following arguments are required: {', '.join(missing)}", command)
+    if extras:
+        raise _UsageError(f"unrecognized arguments: {' '.join(extras)}", command)
+    if takes_input:
+        args.setdefault("input_file", "-")
     return SimpleNamespace(**args)
 
 
-def _run(argv: list[str]) -> int:
-    """Parse argv, by _fast_args or else argparse, run its command, and return the exit code."""
-    words = _joined(argv)
-    args = _fast_args(words)
+def main(args=None, prog_name=None, standalone_mode=True) -> int:
+    """The `seqfit` entry point: run args (sys.argv[1:] when None) and exit with
+    the exit code, or return it when standalone_mode is False.  It is called as a
+    click command is, `main()` from the console script and `python -m seqfit.cli`
+    and `main.main(args, prog_name, standalone_mode)` from click's CliRunner;
+    prog_name is unused, as usage lines always name `seqfit`."""
+    if sys.stdout is None:  # closed at start: a pipe whose reader has left
+        read, write = os.pipe()
+        os.close(read)
+        sys.stdout = open(write, "w", closefd=False)
+    parsed = None
     try:
-        if args is None:
-            parser = _parser()
-            try:
-                args, extra = parser.parse_known_args(words)
-            except SystemExit as exc:  # --help and --version print, then exit 0
-                return exc.code
-            if extra:
-                parser.commands.get(args.command, parser).error(
-                    f"unrecognized arguments: {' '.join(extra)}")
-            if args.command is None:
-                parser.error("missing command")
-        return _COMMANDS[args.command][0](args)
-    except _UsageError as exc:
-        parser = exc.parser or _parser().commands[args.command]
-        print(f"{parser.format_usage()}Try '{parser.prog} --help' for help.\n\nError: {exc}",
-              file=sys.stderr)
-        return 2
-
-
-class _Main:
-    """The `seqfit` entry point, called as a click command is called:
-    `main()` from the console script and `python -m seqfit.cli`, and
-    `main.main(args, prog_name, standalone_mode)` from click's CliRunner.
-    Both run _run; standalone_mode=False returns its exit code instead of
-    exiting with it."""
-
-    name = "seqfit"
-
-    def __call__(self, *args, **kwargs):
-        return self.main(*args, **kwargs)
-
-    def main(self, args=None, prog_name=None, standalone_mode=True) -> int:
-        """Run args (sys.argv[1:] when None); prog_name is accepted for
-        CliRunner and unused, as usage lines always name `seqfit`."""
-        if sys.stdout is None:  # closed at start: a pipe whose reader has left
-            read, write = os.pipe()
-            os.close(read)
-            sys.stdout = open(write, "w", closefd=False)
         try:
-            code = _run(sys.argv[1:] if args is None else list(args))
-            sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
-        except KeyboardInterrupt:
-            print("\nAborted!", file=sys.stderr)
-            code = 1
-        except BrokenPipeError:  # stdout's reader left, as `seqfit triangle ... | head` does
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-            code = 1
-        if not standalone_mode:
-            return code
-        sys.exit(code)
+            parsed = _parse(sys.argv[1:] if args is None else list(args))
+            code = 0 if parsed is None else _COMMANDS[parsed.command][0](parsed)
+        except _UsageError as exc:
+            parser = _parser(parsed.command if parsed else exc.command)
+            print(f"{parser.format_usage()}Try '{parser.prog} --help' for help.\n\nError: {exc}",
+                  file=sys.stderr)
+            code = 2
+        except SeqfitError as exc:  # a failed self-check, which no command expects
+            code = _fail(parsed.command, exc)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+    except KeyboardInterrupt:
+        print("\nAborted!", file=sys.stderr)
+        code = 1
+    except BrokenPipeError:  # stdout's reader left, as `seqfit triangle ... | head` does
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    if not standalone_mode:
+        return code
+    sys.exit(code)
 
 
-main = _Main()
+main.main, main.name = main, "seqfit"  # as click's CliRunner calls a command
 
 
 def _read_values(path: str) -> list[Rational]:
@@ -425,10 +408,10 @@ def _run_self_checks() -> int:
     return failures
 
 
-# The CLI grammar, read by _fast_args and _parser: each command's function, its
+# The CLI grammar, read by _parse and _parser: each command's function, its
 # description, whether it takes INPUT_FILE, and its options, each as (flag, dest,
 # default, check, required, help).  A check is a list of choices, an _at_least
-# type, or None for any value; an option whose default is False is a flag.
+# check, or None for any value; an option whose default is False is a flag.
 _COMMANDS = {
     "fit": (fit_cmd, "Fit the generating polynomial of the sequence in INPUT_FILE (or stdin).",
             True, (
@@ -454,10 +437,6 @@ _COMMANDS = {
          "Fetch the b-file from oeis.org instead of fixtures."),
         ("--cells", "cells", 45, _at_least(1), False, None))),
 }
-
-# every option that takes a value; the flags, --help and --version take none
-_TAKES_VALUE = frozenset(option[0] for *_, options in _COMMANDS.values()
-                         for option in options if option[2] is not False)
 
 
 if __name__ == "__main__":

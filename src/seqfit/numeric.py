@@ -60,8 +60,10 @@ def common_denominator(values) -> tuple[int, list[int]]:
 
     Raises DomainError for a value that is not an exact rational (an int or a
     Fraction, say): a float or a Decimal would be read as the binary or
-    decimal fraction it stores, which is not what its text says.
+    decimal fraction it stores, which is not what its text says.  values may be
+    any iterable, a one-shot iterator included.
     """
+    values = tuple(values)
     for kind in set(map(type, values)):
         if not issubclass(kind, numbers.Rational):
             raise DomainError(f"values must be exact rationals (int or Fraction), not {kind.__name__}")

@@ -9,13 +9,17 @@ O(m^2) interpolation oracle, cheap enough for the high degrees that
 vandermonde_fit's O(m^3) elimination does not reach.  scan_degree and
 compose_affine are Fraction-level views of the library's integer kernels
 (difftable.scan_degree_scaled and solver._compose), for tests that state
-their cases in Fractions.
+their cases in Fractions.  argparse_read reads a command line with argparse,
+as `seqfit` did before seqfit.cli._parse, for tests of that reader.
 """
+import argparse
+import io
 from collections import namedtuple
+from contextlib import redirect_stdout
 from fractions import Fraction
 from math import comb, factorial, lcm
 
-from seqfit import solver
+from seqfit import cli, solver
 from seqfit.difftable import DegreeReport, scan_degree_scaled
 from seqfit.errors import DomainError, NotPolynomialError
 from seqfit.numeric import common_denominator
@@ -148,3 +152,105 @@ def newton_fit(x0, h, values) -> tuple:
     while len(coeffs) > 1 and coeffs[-1] == 0:
         coeffs.pop()
     return tuple(coeffs)
+
+
+class _ArgparseError(Exception):
+    """A usage error from the parser named prog."""
+
+    def __init__(self, message, prog):
+        super().__init__(message)
+        self.prog = prog
+
+
+def argparse_parser():
+    """The `seqfit` parser that read every command line argparse read: built from
+    cli._COMMANDS, options spelled in full, `--help` the only help option, a
+    value of `--` kept, and errors raised as _ArgparseError."""
+
+    class Store(argparse.Action):
+        """argparse's default action, storing one value, except that the value
+        `--` is kept: argparse drops it from `--start=--` and passes [] here
+        (CPython 3.11), so it is converted and checked here."""
+
+        def __call__(self, parser, namespace, values, option_string=None):
+            if values == []:
+                values = parser._get_value(self, "--")
+                parser._check_value(self, values)
+            setattr(namespace, self.dest, values)
+
+    class Parser(argparse.ArgumentParser):
+        def __init__(self, **kwargs):
+            super().__init__(allow_abbrev=False, add_help=False, **kwargs)
+            self.register("action", None, Store)
+            self.add_argument("--help", action="help", help="Show this message and exit.")
+
+        def error(self, message):
+            raise _ArgparseError(message, self.prog)
+
+    def typed(check):
+        def convert(text):
+            try:
+                return check(text)
+            except ValueError as exc:
+                raise argparse.ArgumentTypeError(str(exc)) from None
+        return convert
+
+    parser = Parser(prog="seqfit", formatter_class=argparse.RawDescriptionHelpFormatter,
+                    description="""\
+Recover exact polynomial coefficients from a sequence of values.
+
+Examples:
+  seqfit fit values.txt --start 0 --step 1        # grid 0, 1, 2, ...
+  seqfit fit values.txt --start 1 --step 1 --convention start-one
+  seqfit fit values.txt --start 3.3 --step 0.1    # arbitrary affine grid""")
+    parser.add_argument("--version", action="version", version=f"seqfit, version {cli.__version__}",
+                        help="Show the version and exit.")
+    subparsers = parser.add_subparsers(title="commands", dest="command", metavar="COMMAND")
+    for name, (_, description, takes_input, options) in cli._COMMANDS.items():
+        sub = subparsers.add_parser(name, help=description, description=description)
+        if takes_input:
+            sub.add_argument("input_file", metavar="INPUT_FILE", nargs="?", default="-",
+                             help="The values, or '-' for stdin (the default).")
+        for flag, dest, default, check, required, help_ in options:
+            if default is False:
+                sub.add_argument(flag, dest=dest, action="store_true", help=help_)
+            else:
+                listed = isinstance(check, list)
+                sub.add_argument(flag, dest=dest, default=default, required=required, help=help_,
+                                 choices=check if listed else None,
+                                 type=None if listed or check is None else typed(check))
+    return parser
+
+
+def _joined(argv):
+    """argv with each option that takes a value joined to the word after it,
+    `--start -1/2` as `--start=-1/2`, up to the first `--`."""
+    valued = {option[0] for *_, options in cli._COMMANDS.values() for option in options
+              if option[2] is not False}
+    joined, words = [], iter(argv)
+    for word in words:
+        if word == "--":
+            return [*joined, word, *words]
+        value = next(words, None) if word in valued else None
+        joined.append(word if value is None else f"{word}={value}")
+    return joined
+
+
+def argparse_read(argv):
+    """What argparse made of argv: ("args", the namespace as a dict), ("printed",
+    the --help or --version text) or ("error", the prog whose usage prints, message)."""
+    parser = argparse_parser()
+    out = io.StringIO()
+    try:
+        with redirect_stdout(out):
+            args, extra = parser.parse_known_args(_joined(argv))
+    except SystemExit:
+        return "printed", out.getvalue()
+    except _ArgparseError as exc:
+        return "error", exc.prog, str(exc)
+    prog = "seqfit" if args.command is None else f"seqfit {args.command}"
+    if extra:
+        return "error", prog, f"unrecognized arguments: {' '.join(extra)}"
+    if args.command is None:
+        return "error", prog, "missing command"
+    return "args", vars(args)

@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import os
@@ -21,7 +22,7 @@ from seqfit.errors import SeqfitError
 from seqfit.oeis import BFile
 
 from conftest import SEQ_DECIMAL, SEQ_START_ONE, SEQ_START_ZERO
-from reference import build_table, detect_degree
+from reference import argparse_read, build_table, detect_degree
 
 
 def run(args, input=None):
@@ -570,6 +571,28 @@ class TestTriangleCommand:
         assert result.stderr == f"error (format): {cell_2.value}\n"
 
 
+@pytest.mark.parametrize("args, error", [
+    (["triangle", "--kind=awnt", "--rows=6"], "error (triangle): awnt self-check failed at (n=6, k=6)"),
+    (["verify", "--oeis", "A019538", "--cells", "45"],
+     "error (verify): awnt self-check failed at (n=9, k=9)"),
+])
+def test_a_failed_self_check_is_an_error_line_not_a_traceback(monkeypatch, args, error):
+    real = triangles.stirling_rows
+
+    def wrong_last_row(max_n):  # S(max_n, max_n) one too large
+        *rows, last = real(max_n)
+        yield from rows
+        yield (*last[:-1], last[-1] + 1)
+
+    monkeypatch.setattr(triangles, "stirling_rows", wrong_last_row)
+    result = run(args)
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.stdout == ""
+    assert result.stderr.startswith(error + ": ")
+    assert result.stderr.count("\n") == 1
+
+
 class TestVerifyCommand:
     def test_self_checks_pass(self):
         result = run(["verify", "--self"])
@@ -739,6 +762,27 @@ def test_a_usage_error_loads_argparse():
     assert "argparse" in loaded
 
 
+@pytest.mark.parametrize("args", [["--version"], ["fit", "--format", "json", "--format=text"],
+                                  ["fit", "--", "-"]])
+def test_version_a_repeated_option_and_two_dashes_load_no_argparse(args):
+    run_, loaded = child_imports(args)
+    assert run_.returncode == 0
+    assert run_.stdout.startswith("seqfit, version " if args == ["--version"] else "degree: 2\n")
+    assert "argparse" not in loaded
+
+
+@pytest.mark.parametrize("args, error", [([], "missing command"),
+                                         (["--bogus"], "unrecognized arguments: --bogus")])
+def test_a_line_with_no_command_prints_the_top_usage(monkeypatch, args, error):
+    monkeypatch.setenv("COLUMNS", "80")
+    result = run(args)
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr == ("usage: seqfit [--help] [--version] COMMAND ...\n"
+                             "Try 'seqfit --help' for help.\n\n"
+                             f"Error: {error}\n")
+
+
 def test_main_follows_clicks_calling_convention(tmp_path, capsys):
     path = write_sequence(tmp_path, SEQ_START_ZERO)
     assert main.name == "seqfit"
@@ -754,17 +798,13 @@ def test_main_follows_clicks_calling_convention(tmp_path, capsys):
     assert exited.value.code == 0
 
 
-def test_the_options_joined_to_their_values_are_the_parsers_own():
-    # every option of the top parser and its commands either takes a value,
-    # whatever its nargs, and is in _TAKES_VALUE, or is a flag (nargs 0)
-    parser = cli._parser()
-    commands = next(a for a in parser._actions if a.dest == "command").choices
-    actions = [action for p in (parser, *commands.values()) for action in p._actions
-               if action.option_strings]
-    valued = {name for action in actions if action.nargs != 0 for name in action.option_strings}
-    flags = {name for action in actions if action.nargs == 0 for name in action.option_strings}
-    assert valued == cli._TAKES_VALUE
-    assert flags == {"--self", "--online", "--help", "--version"}
+def test_every_option_the_help_shows_is_in_the_table():
+    # the parsers that format --help and usage lines show the options _parse reads
+    for command in (None, *cli._COMMANDS):
+        parser = cli._parser(command)
+        shown = {name for action in parser._actions for name in action.option_strings}
+        table = {option[0] for option in cli._COMMANDS[command][3]} if command else {"--version"}
+        assert shown == {"--help", *table}
 
 
 @pytest.mark.parametrize("args", [
@@ -882,25 +922,32 @@ def test_any_command_line_exits_0_1_or_2_without_a_traceback(command_line, stdin
         assert all(REPORT_LINE.match(line) for line in result.stdout.splitlines())
 
 
-def parsed_by_argparse(words):
-    """The namespace and extra words of argparse's parse of words."""
-    args, extra = cli._parser().parse_known_args(words)
-    return vars(args), extra
-
-
 # words the grammar above never draws: the end of the options, stdin, a negative
 # number, a flag with a value, help and version, values that start with `--` or are
-# empty, and INPUT_FILEs; None repeats a word already drawn
+# empty, INPUT_FILEs, and a word with a space, which is no option; None repeats a word
+# already drawn
 odd_words = st.sampled_from(["--", "-", "-5", "--self=1", "--self", "--online", "--help",
                              "--version", "--start=--x", "--start=", "--format=", "--rows=",
-                             "--kind=", "--oeis=", "in.txt", "", "fit", "no-such-file.txt"])
+                             "--kind=", "--oeis=", "in.txt", "", "fit", "no-such-file.txt",
+                             "--x y"])
 
 
-@settings(max_examples=500, deadline=None)
+def read_by_seqfit(argv):
+    """What cli._parse made of argv, in the terms of reference.argparse_read."""
+    out = io.StringIO()
+    try:
+        with redirect_stdout(out):
+            args = cli._parse(argv)
+    except cli._UsageError as exc:
+        return "error", "seqfit" if exc.command is None else f"seqfit {exc.command}", str(exc)
+    return ("printed", out.getvalue()) if args is None else ("args", vars(args))
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
 @given(command_lines, st.lists(st.tuples(st.integers(0, 20), st.one_of(odd_words, st.none())),
                                max_size=3),
        st.booleans())
-def test_the_fast_parse_declines_or_equals_argparse(command_line, inserts, joined):
+def test_the_reader_reads_every_line_as_argparse_does(command_line, inserts, joined):
     command, drawn = command_line
     pairs = [pair for pair in drawn if pair]
     args = [command, *(word for name, value in pairs
@@ -908,10 +955,13 @@ def test_the_fast_parse_declines_or_equals_argparse(command_line, inserts, joine
                        if word is not None)]
     for at, word in inserts:  # at 0, before the command
         args.insert(at % (len(args) + 1), args[at % len(args)] if word is None else word)
-    words = cli._joined(args)
-    fast = cli._fast_args(words)
-    if fast is not None:
-        assert (vars(fast), []) == parsed_by_argparse(words)
+    expected, read = argparse_read(args), read_by_seqfit(args)
+    if sys.version_info[:2] == (3, 11):  # the reader's messages are this argparse's
+        assert read == expected
+    elif "--" in args:  # later argparse reads `--` otherwise: both accept or both reject
+        assert read[0] == expected[0]
+    else:  # the same namespace, help text, or usage
+        assert read[:2] == expected[:2]
 
 
 @pytest.mark.parametrize("args", [
@@ -925,9 +975,11 @@ def test_the_fast_parse_declines_or_equals_argparse(command_line, inserts, joine
     ["verify", "--self"],
     ["verify", "--oeis", "A019538", "--cells=30", "--online", "--self"],
 ])
-def test_the_fast_parse_reads_the_lines_that_need_no_argparse(args):
-    words = cli._joined(args)
-    assert vars(cli._fast_args(words)) == parsed_by_argparse(words)[0]
+def test_the_reader_reads_a_well_formed_line_without_the_parser(monkeypatch, args):
+    expected = argparse_read(args)
+    monkeypatch.setattr(cli, "_parser", lambda command=None: pytest.fail("_parser() was built"))
+    assert read_by_seqfit(args) == expected
+    assert expected[0] == "args"
 
 
 @pytest.mark.parametrize("args", [
@@ -938,8 +990,15 @@ def test_the_fast_parse_reads_the_lines_that_need_no_argparse(args):
     ["triangle", "--kind=awnt"], ["triangle", "--kind=awnt", "--rows=0"], ["--start=0", "fit"],
     ["verify", "--kind=awnt"], ["bogus"], ["fit", "--form=json"],
 ])
-def test_the_fast_parse_declines_the_rest(args):
-    assert cli._fast_args(cli._joined(args)) is None
+def test_the_reader_reads_an_odd_line_as_argparse_does(monkeypatch, args):
+    monkeypatch.setenv("COLUMNS", "80")
+    expected, read = argparse_read(args), read_by_seqfit(args)
+    if sys.version_info[:2] == (3, 11):  # the reader's messages are this argparse's
+        assert read == expected
+    elif "--" in args:  # later argparse reads `--` otherwise: both accept or both reject
+        assert read[0] == expected[0]
+    else:  # the same namespace, help text, or usage
+        assert read[:2] == expected[:2]
 
 
 def old_fit_json(result):

@@ -121,6 +121,10 @@ class TestCommonDenominator:
     def test_example(self):
         assert common_denominator([Fraction(1, 6), 2, True, Fraction(-3, 4)]) == (12, [2, 24, 12, -9])
 
+    def test_a_generator_is_read_once(self):
+        # the type check used to exhaust a one-shot iterator, leaving (1, [])
+        assert common_denominator(v for v in (Fraction(1, 2), Fraction(1, 3))) == (6, [3, 2])
+
     @pytest.mark.parametrize("value, name", [(0.5, "float"), (Decimal("0.5"), "Decimal")])
     def test_inexact_value_rejected(self, value, name):
         with pytest.raises(DomainError) as err:
