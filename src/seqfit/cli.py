@@ -19,10 +19,10 @@ from . import __version__
 from .difftable import _difference_rows
 from .errors import BFileError, DomainError, ScalarParseError, SeqfitError
 from .numeric import Rational, common_denominator, format_scalar, parse_scalar
-from .solver import AffineMap, fit
+from .solver import _fit_scaled, _grid
 from .triangles import TriangleKind, cells_before_print, triangle_rows
 
-_CONVENTIONS = {"auto": "start_zero", "start-zero": "start_zero", "start-one": "start_one"}
+_CONVENTIONS = {"auto": 0, "start-zero": 0, "start-one": 1}  # each word's index shift
 
 
 class _UsageError(Exception):
@@ -223,8 +223,9 @@ def main(args=None, prog_name=None, standalone_mode=True) -> int:
 main.main, main.name = main, "seqfit"  # as click's CliRunner calls a command
 
 
-def _read_values(path: str) -> list[Rational]:
-    """The scalars in INPUT_FILE, separated by newlines or commas; '#' starts a comment."""
+def _read_values(path: str) -> tuple[int, list[int]]:
+    """The scalars in INPUT_FILE, separated by newlines or commas ('#' starts a
+    comment), as common_denominator returns them."""
     input_file = _open_input(path)
     try:
         text = input_file.read()
@@ -240,7 +241,7 @@ def _read_values(path: str) -> list[Rational]:
         raise _UsageError(f"input parse: {exc}") from None
     if not values:
         raise _UsageError("input contains no values")
-    return values
+    return common_denominator(values)
 
 
 def _fail(stage: str, exc: Exception) -> int:
@@ -258,7 +259,7 @@ def _json_list(items: Iterable[str], indent: str) -> str:
 
 def fit_cmd(args) -> int:
     """Fit the generating polynomial of the sequence in INPUT_FILE (or stdin)."""
-    values = _read_values(args.input_file)
+    den, ints = _read_values(args.input_file)
     try:
         x0, h = parse_scalar(args.start), parse_scalar(args.step)
     except ScalarParseError as exc:
@@ -266,8 +267,8 @@ def fit_cmd(args) -> int:
     if h == 0:
         raise _UsageError("--step must be nonzero")
     try:
-        result = fit(values, AffineMap(x0=x0, h=h),
-                     convention=_CONVENTIONS[args.convention], min_witnesses=args.min_witnesses)
+        result = _fit_scaled(den, ints, _grid(x0, h), _CONVENTIONS[args.convention],
+                             args.min_witnesses)
     except SeqfitError as exc:
         return _fail("fit", exc)
     try:
@@ -301,7 +302,7 @@ def _cell(n: int, den: int, fmt: str) -> str:
 
 def difftable_cmd(args) -> int:
     """Print the difference table of the sequence in INPUT_FILE (or stdin)."""
-    den, ints = common_denominator(_read_values(args.input_file))
+    den, ints = _read_values(args.input_file)
     # n/den in lowest terms p/q has |p| <= |n| and q | den, so at most b*0.30103 + 1 + bits(den)
     # digits for a b-bit n: under a digit limit, each row whose widest entry has `wide` bits or
     # more is formatted first.  2^r * max|ints| bounds row r, so 2^(m-1) * max|ints| bounds all

@@ -12,6 +12,7 @@ indexes with g(x) = (x - x0)/h, solving in the g basis, and composing back.
 """
 from __future__ import annotations
 
+import numbers
 from collections import namedtuple
 from itertools import islice
 from math import factorial, gcd
@@ -46,6 +47,10 @@ class AffineMap(namedtuple("AffineMap", "x0 h")):
     __slots__ = ()
 
     def __new__(cls, x0: Rational, h: Rational):
+        for name, value in (("x0", x0), ("h", h)):
+            if not isinstance(value, numbers.Rational):
+                raise DomainError(f"affine map {name} must be an exact rational (int or Fraction), "
+                                  f"not {type(value).__name__}")
         if h == 0:
             raise DomainError("affine map step h must be nonzero")
         return tuple.__new__(cls, (x0, h))
@@ -55,8 +60,8 @@ class AffineMap(namedtuple("AffineMap", "x0 h")):
         return cls(*iterable)
 
 
-# poly_in_g, poly_in_x: Polynomial; degree_report: DegreeReport; index_map: AffineMap,
-# g(x) = (x - x0)/h on the input grid, x0 moved back one h for start_one
+# poly_in_g, poly_in_x: Polynomial; degree_report: DegreeReport; index_map: AffineMap of
+# Fractions, g(x) = (x - x0)/h on the input grid, x0 moved back one h for start_one
 FitResult = namedtuple("FitResult", "poly_in_g poly_in_x index_map degree_report")
 
 
@@ -202,20 +207,26 @@ def fit(values, map: AffineMap, convention: str = "start_zero",
     a guess read off a prefix, then the full scan; the first candidate whose
     polynomial reproduces every sample is the answer (the argument that it
     is exact is at _degree_candidates).
+
+    Input with more than one fault raises DomainError for the first of: an
+    unknown convention, a sample that is not an exact rational, fewer than
+    two samples, a bad min_witnesses.
     """
-    values = tuple(values)
-    if len(values) < 2:
-        raise DomainError("fit needs at least two sequence values")
     shift = {"start_zero": 0, "start_one": 1}.get(convention)
     if shift is None:
         raise DomainError(f"unknown convention {convention!r}")
+    return _fit_scaled(*common_denominator(values), _grid(map.x0, map.h), shift, min_witnesses)
 
-    den, ints = common_denominator(values)
+
+def _fit_scaled(den: int, ints: list[int], grid: tuple[int, int, int], shift: int,
+                min_witnesses: int) -> FitResult:
+    """fit on common_denominator's output (den, ints) and the integer grid (a, b, q)."""
     m = len(ints)
-    grid = a, b, q = _grid(map.x0, map.h)
+    if m < 2:
+        raise DomainError("fit needs at least two sequence values")
+    a, b, q = grid
     # the g basis starts at index `shift`: g(x) = (x - x0)/h + shift = (q*x - (a - shift*b))/b
     own_grid = a == shift * b and b == q
-    index_map = AffineMap(x0=map.x0 - shift * map.h, h=map.h)
 
     for report, diagonal in _degree_candidates(den, ints, min_witnesses):
         d = len(diagonal) - 1
@@ -233,8 +244,9 @@ def fit(values, map: AffineMap, convention: str = "start_zero",
         if i > d:
             in_g = _polynomial(*poly_in_g)
             in_x = in_g if own_grid else _polynomial(*poly_in_x)
+            index_map = AffineMap(Rational(a - shift * b, q), Rational(b, q))
             return FitResult(in_g, in_x, index_map, report)
     raise InconsistentSequenceError(
-        f"fitted polynomial does not reproduce sample {i} (x={map.x0 + i * map.h})",
+        f"fitted polynomial does not reproduce sample {i} (x={Rational(a + i * b, q)})",
         sample_index=i,
     )

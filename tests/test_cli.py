@@ -1029,3 +1029,48 @@ def test_the_fit_json_is_laid_out_as_json_dumps_lays_it_out():
                   for i in range(d + rng.randint(2, 4))]
         result = fit(values, AffineMap(x0, h), rng.choice(["start_zero", "start_one"]))
         assert cli._format_fit(result, "json") == old_fit_json(result)
+
+
+def test_one_value_is_an_error_of_fit(tmp_path):
+    result = run(["fit", write_sequence(tmp_path, [7])])
+    assert (result.exit_code, result.stdout) == (1, "")
+    assert result.stderr == "error (fit): fit needs at least two sequence values\n"
+
+
+def spelled(rng, value):
+    """value as one of the token spellings the grammar reads: -12, 7/3 or 0.25."""
+    if value.denominator == 1 and rng.random() < 0.7:
+        return str(value.numerator)
+    if 10 ** 6 % value.denominator == 0 and rng.random() < 0.7:
+        return format_scalar(value, prefer_decimal=True)
+    return f"{value.numerator * 2}/{value.denominator * 2}"  # not in lowest terms
+
+
+def test_the_cli_fit_prints_what_the_library_fit_returns(tmp_path):
+    rng = random.Random(3434)
+    conventions = {"auto": "start_zero", "start-zero": "start_zero", "start-one": "start_one"}
+    for trial in range(100):
+        d = rng.choice([rng.randint(0, 4), rng.randint(5, 24)])
+        if trial % 4 == 0:  # a decimal grid, its step of either sign
+            x0 = Fraction(rng.randint(-99, 99), 10)
+            h = Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.choice([10, 100]))
+        else:
+            x0, h = Fraction(rng.randint(-9, 9), rng.choice([1, 1, 2])), Fraction(rng.choice([-3, -1, 1, 2]))
+        coeffs = [Fraction(rng.randint(-12, 12), rng.choice([1, 3, 4])) for _ in range(d + 1)]
+        values = [sum(c * (x0 + i * h) ** j for j, c in enumerate(coeffs)) for i in range(d + rng.randint(2, 4))]
+        if trial % 10 == 0:  # not polynomial
+            values = [Fraction(3) ** i for i in range(rng.randint(2, 12))]
+        tokens = [spelled(rng, v) for v in values]
+        start, step = spelled(rng, x0), spelled(rng, h)
+        word = rng.choice(sorted(conventions))
+        path = tmp_path / f"values{trial}.txt"
+        path.write_text("\n".join(tokens) + "\n")
+        result = run(["fit", str(path), "--start", start, "--step", step, "--convention", word,
+                      "--format", "json"])
+        try:
+            expected = fit([parse_scalar(t) for t in tokens],
+                           AffineMap(parse_scalar(start), parse_scalar(step)), conventions[word])
+        except SeqfitError as exc:
+            assert (result.exit_code, result.stdout, result.stderr) == (1, "", f"error (fit): {exc}\n")
+        else:
+            assert (result.exit_code, result.stdout, result.stderr) == (0, old_fit_json(expected) + "\n", "")

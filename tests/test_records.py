@@ -8,6 +8,7 @@ iterate and compare equal to a plain tuple of their fields.
 """
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -78,6 +79,18 @@ def test_record_contract(kind, values, others, text):
 def test_affine_map_step_must_be_nonzero(build):
     with pytest.raises(DomainError, match="affine map step h must be nonzero"):
         build()
+
+
+@pytest.mark.parametrize("build, name, kind", [
+    (lambda: AffineMap(0.5, Fraction(1)), "x0", "float"),
+    (lambda: AffineMap(Fraction(0), 1.0), "h", "float"),
+    (lambda: AffineMap(0, Decimal("0.1")), "h", "Decimal"),
+    (lambda: AffineMap(0, 1)._replace(x0=0.5), "x0", "float"),
+], ids=["float x0", "float h", "Decimal h", "_replace"])
+def test_affine_map_fields_must_be_exact_rationals(build, name, kind):
+    with pytest.raises(DomainError) as raised:
+        build()
+    assert str(raised.value) == f"affine map {name} must be an exact rational (int or Fraction), not {kind}"
 
 
 def loaded(statement, names):

@@ -163,6 +163,32 @@ class TestFit:
             with pytest.raises(DomainError, match="unknown convention"):
                 fit([Fraction(1), Fraction(2)], AffineMap(Fraction(0), Fraction(1)), convention)
 
+    # fit's input faults, in the order it reports them: (message, the fault applied to
+    # (values, convention, min_witnesses)); any two of them commute
+    FAULTS = [
+        ("unknown convention 'newton'", lambda v, c, w: (v, "newton", w)),
+        ("values must be exact rationals (int or Fraction), not float",
+         lambda v, c, w: ([0.5, *v[1:]], c, w)),
+        ("fit needs at least two sequence values", lambda v, c, w: (v[:1], c, w)),
+        ("min_witnesses must be >= 2", lambda v, c, w: (v, c, 1)),
+    ]
+
+    @pytest.mark.parametrize("m", [8, 80])  # both sides of the prefix selection
+    @pytest.mark.parametrize("first, second", [(i, j) for i in range(4) for j in range(i, 4)],
+                             ids=lambda k: ["convention", "inexact", "one-value", "witnesses"][k])
+    def test_the_first_fault_in_order_is_reported(self, m, first, second):
+        args = [Fraction(i * i, 3) for i in range(m)], "start_one", 2
+        for k in (second, first):
+            args = self.FAULTS[k][1](*args)
+        with pytest.raises(DomainError) as raised:
+            fit(args[0], AffineMap(Fraction(1), Fraction(1)), args[1], min_witnesses=args[2])
+        assert str(raised.value) == self.FAULTS[first][0]
+
+    def test_index_map_holds_fractions(self):
+        result = fit([1, 4, 9, 16], AffineMap(1, 2), "start_one")
+        assert result.index_map == (-1, 2)
+        assert {type(v) for v in result.index_map} == {Fraction}
+
     def test_reproduces_every_sample(self, seq_decimal):
         result = fit(seq_decimal, AffineMap(Fraction(33, 10), Fraction(1, 10)))
         for i, value in enumerate(seq_decimal):
@@ -324,17 +350,19 @@ class TestVerification:
 
     TRUE_X = (Fraction(2, 3), Fraction(-1), Fraction(0), Fraction(5, 2), Fraction(3))  # degree 4
     GRIDS = {"integer": (Fraction(0), Fraction(1)), "integer+1": (Fraction(1), Fraction(1)),
-             "integer+2": (Fraction(2), Fraction(1)), "3.3/0.1": (Fraction(33, 10), Fraction(1, 10))}
+             "integer+2": (Fraction(2), Fraction(1)), "3.3/0.1": (Fraction(33, 10), Fraction(1, 10)),
+             "-5/3,-2/7": (Fraction(-5, 3), Fraction(-2, 7))}  # the grid (a, b, q) = (-35, -6, 21)
     M = 12
     # (convention, grid) pairs for corruptions of poly_in_g: on start_zero's
     # "integer" and start_one's "integer+1" grids g(x) = x, fit() never
     # composes, and poly_in_g is poly_in_x too
     G_CASES = [("start_zero", "integer"), ("start_zero", "3.3/0.1"),
-               ("start_one", "integer"), ("start_one", "3.3/0.1"), ("start_one", "integer+1")]
+               ("start_one", "integer"), ("start_one", "3.3/0.1"), ("start_one", "integer+1"),
+               ("start_one", "-5/3,-2/7")]
     # pairs where fit() composes poly_in_x, so that a corruption of it is seen:
     # start_zero's integer grid starts at 2
     X_CASES = [("start_zero", "integer+2"), ("start_zero", "3.3/0.1"),
-               ("start_one", "integer"), ("start_one", "3.3/0.1")]
+               ("start_one", "integer"), ("start_one", "3.3/0.1"), ("start_zero", "-5/3,-2/7")]
 
     def run(self, monkeypatch, convention, grid, corrupt_g=None, corrupt_x=None):
         """fit() over M samples with its integer solve (poly_in_g) and its
